@@ -13,10 +13,13 @@ import (
 	"repro/internal/journal"
 )
 
-// Version is the checkpoint format version; a bump invalidates older
-// checkpoints (Open rejects them, and resume falls back to a fresh
-// campaign).
-const Version = 1
+// Version is the sealed-file format version shared by checkpoints,
+// fleet manifests and evaluation state files; a bump invalidates older
+// files (Open rejects them, LoadLatest skips them with a warning).
+// Version 2 stores the generator state in fuzz.Snapshot.RNGState and
+// changed every campaign's random stream, so version-1 checkpoints
+// cannot resume.
+const Version = 2
 
 // magic identifies sealed campaign files. 8 bytes, never reused across
 // incompatible layouts.

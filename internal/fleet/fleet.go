@@ -617,8 +617,8 @@ func (s *Supervisor) manage(w *worker) {
 		gen := w.gen
 		w.state = stRunning
 		// A zero heartbeat marks the attempt's startup phase (checkpoint
-		// load, RNG fast-forward, corpus re-calibration — proportional to
-		// prior campaign progress, so no fixed deadline fits it). The
+		// load and corpus re-calibration — proportional to the
+		// checkpoint's size, so no fixed deadline fits it). The
 		// watchdog arms only once the first boundary stores a real beat.
 		w.beat.Store(0)
 		w.beatExecs.Store(0)

@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -381,5 +382,11 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if _, err := fleet.DecodeManifest(data[:len(data)-3]); err == nil {
 		t.Fatal("truncated manifest decoded without error")
+	}
+	// A manifest sealed by an older format version is rejected.
+	old := append([]byte(nil), data...)
+	binary.BigEndian.PutUint32(old[8:12], campaign.Version-1)
+	if _, err := fleet.DecodeManifest(old); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("older-version manifest: got %v, want a version error", err)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -364,7 +363,9 @@ type InternalFault struct {
 type Fuzzer struct {
 	prog *cfg.Program
 	opts Options
-	rng  *rand.Rand
+	// rng is the campaign's only random stream (the mutator draws from
+	// it through a pointer); snapshots store its serialized state.
+	rng rng
 	// Exactly one of tracer/mach drives executions: mach is the compiled
 	// bytecode engine (probes inlined, no tracer), tracer the reference
 	// interpreter's instrumentation callback.
@@ -418,11 +419,6 @@ type Fuzzer struct {
 	// (substitution and resize variants); every retention path copies,
 	// so the buffer is recycled across variants.
 	scratch []byte
-
-	// rngSrc is the counting source behind rng; snapshots record its
-	// draw count so a resumed campaign can fast-forward a fresh source
-	// to the exact same stream position.
-	rngSrc *countingSource
 
 	// Fuzz-loop position, promoted to fields so a checkpoint taken
 	// between queue entries can resume mid-cycle: qi is the next queue
@@ -523,12 +519,10 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 			return nil, err
 		}
 	}
-	src := newCountingSource(opts.Seed)
 	f := &Fuzzer{
 		prog:        prog,
 		opts:        opts,
-		rng:         rand.New(src),
-		rngSrc:      src,
+		rng:         newRNG(opts.Seed),
 		tracer:      tr,
 		mach:        mach,
 		cgt:         cgt,
@@ -550,7 +544,7 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 		f.reachW, f.reachMax = reachWeights(prog, opts.Feedback, opts.MapSize)
 	}
 	f.mut = &mutator{
-		rng:    f.rng,
+		rng:    &f.rng,
 		maxLen: opts.MaxInputLen,
 		rich:   opts.Profile == ProfileAFLPlusPlus,
 	}

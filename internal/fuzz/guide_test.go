@@ -376,7 +376,8 @@ func main(input) {
 	if total > 8 {
 		t.Fatalf("mask unexpectedly wide: %d offsets in %v", total, mask)
 	}
-	m := &mutator{rng: rand.New(rand.NewSource(5)), maxLen: 64, mask: mask, maskTotal: total}
+	g := newRNG(5)
+	m := &mutator{rng: &g, maxLen: 64, mask: mask, maskTotal: total}
 	for i := 0; i < 200; i++ {
 		pos := m.pos(64)
 		in := false
@@ -394,8 +395,8 @@ func main(input) {
 // TestGuideDefaultOffDrawsIdentical: a nil mask must reproduce the
 // exact unguided RNG stream — one Intn per positional draw.
 func TestGuideDefaultOffDrawsIdentical(t *testing.T) {
-	a := &mutator{rng: rand.New(rand.NewSource(77)), maxLen: 64}
-	b := rand.New(rand.NewSource(77))
+	ga, b := newRNG(77), newRNG(77)
+	a := &mutator{rng: &ga, maxLen: 64}
 	for i := 0; i < 500; i++ {
 		if got, want := a.pos(40), b.Intn(40); got != want {
 			t.Fatalf("draw %d: masked-off pos %d != plain Intn %d", i, got, want)

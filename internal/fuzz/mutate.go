@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"encoding/binary"
-	"math/rand"
 
 	"repro/internal/analysis/interproc"
 )
@@ -16,7 +15,7 @@ var (
 
 // mutator implements AFL-style havoc and splice mutations.
 type mutator struct {
-	rng    *rand.Rand
+	rng    *rng
 	maxLen int
 	// dict holds user and auto (cmplog-derived) tokens.
 	dict [][]byte

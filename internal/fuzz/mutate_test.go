@@ -1,13 +1,13 @@
 package fuzz
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
 func newMut(seed int64, rich bool) *mutator {
-	return &mutator{rng: rand.New(rand.NewSource(seed)), maxLen: 128, rich: rich}
+	g := newRNG(seed)
+	return &mutator{rng: &g, maxLen: 128, rich: rich}
 }
 
 func TestHavocRespectsMaxLen(t *testing.T) {

@@ -2,7 +2,7 @@
 // checkpoint/resume subsystem (package campaign). A Snapshot captures
 // everything a campaign needs to continue deterministically — queue
 // entries with their metadata, virgin maps, crash and bug dedup state,
-// the auto-dictionary, stats, history, the RNG stream position, and the
+// the auto-dictionary, stats, history, the RNG state, and the
 // fuzz loop's mid-cycle position. Restore rebuilds a fuzzer from a
 // snapshot such that continuing it reproduces, execution for execution,
 // what an uninterrupted campaign would have done: derived state
@@ -12,50 +12,12 @@ package fuzz
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/cfg"
 	"repro/internal/coverage"
 	"repro/internal/vm"
 )
-
-// countingSource wraps the campaign's random source and counts draws.
-// math/rand sources are not serializable, so snapshots record the draw
-// count and Restore fast-forwards a fresh source seeded identically:
-// both Int63 and Uint64 advance the underlying generator by exactly one
-// step, so replaying n draws of either reproduces the stream position.
-type countingSource struct {
-	src   rand.Source64
-	draws uint64
-}
-
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.src.Int63()
-}
-
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
-}
-
-func (c *countingSource) Seed(seed int64) {
-	c.src.Seed(seed)
-	c.draws = 0
-}
-
-// skipTo advances the source until n draws have been consumed.
-func (c *countingSource) skipTo(n uint64) {
-	for c.draws < n {
-		c.src.Uint64()
-		c.draws++
-	}
-}
 
 // SnapEntry is the serialized form of a queue Entry. IDs are implicit:
 // an entry's ID is its index in the snapshot's Entries slice, which
@@ -109,7 +71,12 @@ type Snapshot struct {
 	Stats       Stats
 	History     []HistPoint
 	Dict        [][]byte
-	RNGDraws    uint64
+	// RNGState is the generator's serialized PCG state (20 bytes);
+	// Restore resumes the stream from it in constant time. RNGDraws
+	// counts the draws taken so far — a statistic, not needed to
+	// resume.
+	RNGState []byte
+	RNGDraws uint64
 
 	// Fuzz-loop position (see Fuzzer.midCycle and friends).
 	PendingFavored int
@@ -146,7 +113,8 @@ func (f *Fuzzer) Snapshot() *Snapshot {
 		Stats:          f.stats,
 		History:        append([]HistPoint(nil), f.history...),
 		Dict:           append([][]byte(nil), f.mut.dict...),
-		RNGDraws:       f.rngSrc.draws,
+		RNGState:       f.rng.state(),
+		RNGDraws:       f.rng.draws,
 		PendingFavored: f.pendingFavored,
 		MidCycle:       f.midCycle,
 		NextIndex:      f.qi,
@@ -193,9 +161,9 @@ func (f *Fuzzer) Snapshot() *Snapshot {
 // feedback, map size, profile, limits); the campaign checkpoint layer
 // stores and validates that metadata. Derived state — top-rated
 // champions and the power-schedule sums — is re-calibrated from the
-// restored queue, and the RNG is fast-forwarded to the snapshot's
-// stream position, so continuing the fuzzer reproduces an uninterrupted
-// campaign exactly.
+// restored queue, and the RNG resumes from the snapshot's stored state,
+// so continuing the fuzzer reproduces an uninterrupted campaign
+// exactly. A missing or malformed RNG state fails with ErrRNGState.
 func Restore(prog *cfg.Program, opts Options, snap *Snapshot) (*Fuzzer, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("fuzz: nil snapshot")
@@ -211,6 +179,9 @@ func Restore(prog *cfg.Program, opts Options, snap *Snapshot) (*Fuzzer, error) {
 }
 
 func (f *Fuzzer) restore(snap *Snapshot) error {
+	if err := f.rng.setState(snap.RNGState, snap.RNGDraws); err != nil {
+		return err
+	}
 	mapSize := uint32(f.cov.Len())
 	f.queue = make([]*Entry, 0, len(snap.Entries))
 	f.topRated = make(map[uint32]*Entry)
@@ -307,7 +278,6 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 	f.sampleEvery, f.nextSample = snap.SampleEvery, snap.NextSample
 	f.samplingRestored = snap.SampleEvery > 0
 
-	f.rngSrc.skipTo(snap.RNGDraws)
 	// Journal resume: restore the emitted-event counter and truncate
 	// the journal back to it, so the replayed executions re-emit an
 	// identical tail (gapless, byte-for-byte). A fleet-shared journal

@@ -170,23 +170,3 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		t.Error("nil snapshot accepted")
 	}
 }
-
-// TestCountingSourceSkipTo: fast-forwarding a fresh source must land on
-// the same stream position as drawing live.
-func TestCountingSourceSkipTo(t *testing.T) {
-	a := newCountingSource(99)
-	for i := 0; i < 1000; i++ {
-		if i%3 == 0 {
-			a.Uint64()
-		} else {
-			a.Int63()
-		}
-	}
-	b := newCountingSource(99)
-	b.skipTo(a.draws)
-	for i := 0; i < 16; i++ {
-		if a.Int63() != b.Int63() {
-			t.Fatalf("streams diverge at draw %d", i)
-		}
-	}
-}
