@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/cfg"
@@ -102,24 +101,23 @@ type Facts struct {
 // function.
 const CellCap = cellCap
 
-// factsKey memoizes For per (program, entry) pair.
+// factsKey memoizes For per entry in the program's memo table
+// (cfg.Program.Memo), so the facts live exactly as long as the program.
 type factsKey struct {
-	prog  *cfg.Program
 	entry int
 }
-
-var factsCache sync.Map // factsKey -> *Facts
 
 // For computes (or returns the cached) interprocedural facts for prog
 // with the given entry function index. The result is immutable and
 // safe for concurrent use.
 func For(prog *cfg.Program, entry int) *Facts {
-	key := factsKey{prog, entry}
-	if v, ok := factsCache.Load(key); ok {
+	key := factsKey{entry}
+	memo := prog.Memo()
+	if v, ok := memo.Load(key); ok {
 		return v.(*Facts)
 	}
 	f := compute(prog, entry)
-	if v, loaded := factsCache.LoadOrStore(key, f); loaded {
+	if v, loaded := memo.LoadOrStore(key, f); loaded {
 		return v.(*Facts)
 	}
 	return f

@@ -12,6 +12,7 @@ package cfg
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/lang"
 )
@@ -168,7 +169,17 @@ type Program struct {
 	ByName map[string]int
 	// Source retains the original text for diagnostics.
 	Source string
+
+	memo sync.Map
 }
+
+// Memo returns the program's memo table, where other packages cache
+// artifacts derived from the program (compiled bytecode,
+// interprocedural facts). Entries live exactly as long as the
+// program, so a cached value may point back at it without pinning it.
+// Keys should be of a type unexported by the caching package, so
+// packages cannot collide.
+func (p *Program) Memo() *sync.Map { return &p.memo }
 
 // Func returns the lowered function with the given name, or nil.
 func (p *Program) Func(name string) *Func {

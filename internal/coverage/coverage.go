@@ -285,6 +285,38 @@ func (v *Virgin) MergeSparse(m *Map) Novelty {
 	return ret
 }
 
+// PeekSparse is MergeSparse without consuming: it reports the verdict
+// MergeSparse would return for the classified map and never writes to
+// the virgin map, so any number of goroutines may call it at once while
+// nothing merges. It returns as soon as NewTuples is established.
+func (v *Virgin) PeekSparse(m *Map) Novelty {
+	if m.Len() != len(v.bits) {
+		panic("coverage: size mismatch")
+	}
+	ret := NoNew
+	bits := m.bits
+	for _, i := range m.dirty {
+		if vb := v.bits[i]; vb&bits[i] != 0 {
+			if vb == 0xff {
+				return NewTuples
+			}
+			ret = NewCounts
+		}
+	}
+	return ret
+}
+
+// SetSparse loads saved touched entries into an empty map (one just
+// Reset): vals[k] becomes the value at idx[k], and the entries become
+// the dirty list in the given order. Together with Dirty and Bytes it
+// lets a caller park a map's sparse contents and put them back later.
+func (m *Map) SetSparse(idx []uint32, vals []uint8) {
+	for k, i := range idx {
+		m.bits[i] = vals[k]
+	}
+	m.dirty = append(m.dirty, idx...)
+}
+
 // VirginCell is one consumed virgin-map entry (bits != 0xff), the
 // sparse unit campaign checkpoints serialize: a fresh virgin map plus
 // the cell list reconstructs the exact novelty state.

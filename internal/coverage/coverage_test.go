@@ -1,6 +1,8 @@
 package coverage_test
 
 import (
+	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -326,5 +328,74 @@ func TestVirginCountMatchesCells(t *testing.T) {
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPeekSparseMatchesMergeSparse: on random classified maps against
+// a virgin map with random history, PeekSparse returns exactly the
+// verdict MergeSparse then returns, and never writes the virgin map.
+func TestPeekSparseMatchesMergeSparse(t *testing.T) {
+	const size = 1 << 10
+	rng := rand.New(rand.NewPCG(1, 2))
+	fill := func(m *coverage.Map, cells int) {
+		m.Reset()
+		for j := 0; j < cells; j++ {
+			i := uint32(rng.IntN(size / 8)) // a narrow range, so maps overlap
+			for h := rng.IntN(40); h >= 0; h-- {
+				m.Add(i)
+			}
+		}
+		m.ClassifySparse()
+	}
+	m := coverage.NewMap(size)
+	seen := map[coverage.Novelty]int{}
+	for trial := 0; trial < 200; trial++ {
+		v := coverage.NewVirgin(size)
+		for h := rng.IntN(20); h > 0; h-- {
+			fill(m, 1+rng.IntN(30))
+			v.MergeSparse(m)
+		}
+		for probe := 0; probe < 10; probe++ {
+			fill(m, rng.IntN(30))
+			before := v.Cells()
+			peek := v.PeekSparse(m)
+			if after := v.Cells(); !reflect.DeepEqual(before, after) {
+				t.Fatalf("trial %d: PeekSparse wrote the virgin map", trial)
+			}
+			if merged := v.MergeSparse(m); peek != merged {
+				t.Fatalf("trial %d: PeekSparse = %v, MergeSparse = %v", trial, peek, merged)
+			}
+			seen[peek]++
+		}
+	}
+	for _, n := range []coverage.Novelty{coverage.NoNew, coverage.NewCounts, coverage.NewTuples} {
+		if seen[n] == 0 {
+			t.Errorf("verdict %v never produced; the random maps miss a case", n)
+		}
+	}
+}
+
+// TestSetSparseRoundTrip: parking a classified map's touched entries
+// and loading them into a reset map reproduces the map, its dirty list
+// and its novelty verdict.
+func TestSetSparseRoundTrip(t *testing.T) {
+	m := coverage.NewMap(256)
+	for _, i := range []uint32{9, 3, 200, 3, 3, 77} {
+		m.Add(i)
+	}
+	m.ClassifySparse()
+	idx := append([]uint32(nil), m.Dirty()...)
+	var vals []uint8
+	for _, i := range idx {
+		vals = append(vals, m.Bytes()[i])
+	}
+	want := append([]uint8(nil), m.Bytes()...)
+	m.Reset()
+	m.SetSparse(idx, vals)
+	if !reflect.DeepEqual(m.Bytes(), want) || !reflect.DeepEqual(m.Dirty(), idx) {
+		t.Fatalf("SetSparse did not restore the map: dirty %v, want %v", m.Dirty(), idx)
+	}
+	if got := coverage.NewVirgin(256).MergeSparse(m); got != coverage.NewTuples {
+		t.Fatalf("restored map merges as %v, want NewTuples", got)
 	}
 }

@@ -133,21 +133,13 @@ func (f *Fuzzer) replanCGT() {
 // executeCGT is execute for the CGT engine: run the patched fast
 // machine, decide novelty from the partial map, and retrace under full
 // instrumentation only when the canonical map is actually needed. It
-// must mutate Stats and the virgin maps exactly as execute does.
-func (f *Fuzzer) executeCGT(data []byte) execOutcome {
+// shares fold's accounting (countExec, quarantine, settle), so it
+// mutates Stats, the virgin maps and the journal exactly as execute
+// does.
+func (f *Fuzzer) executeCGT(data []byte) (out execOutcome) {
 	f.cov.Reset()
 	res, faultMsg, ok := f.runProtectedOn(f.cgt.fast, data, true)
-	f.stats.Execs++
-	switch f.curStage {
-	case stageSeed:
-		f.stats.SeedExecs++
-	case stageHavoc:
-		f.stats.HavocExecs++
-	case stageSplice:
-		f.stats.SpliceExecs++
-	case stageCmplog:
-		f.stats.CmplogExecs++
-	}
+	f.countExec()
 	if !ok {
 		// Quarantined like execute: injected faults fire before the
 		// fast run (same pre-increment exec index as the other
@@ -155,9 +147,8 @@ func (f *Fuzzer) executeCGT(data []byte) execOutcome {
 		// the exact step they would abort the pristine one — patched
 		// opcodes charge no steps. No retrace: the execution
 		// contributes nothing to the campaign.
-		f.recordFault(data, faultMsg)
-		f.cov.Reset()
-		return execOutcome{res: vm.Result{Status: vm.StatusOK}}
+		f.quarantine(&out, data, faultMsg)
+		return out
 	}
 	f.cgt.fastExecs++
 	f.stats.TotalSteps += res.Steps
@@ -196,19 +187,7 @@ func (f *Fuzzer) executeCGT(data []byte) execOutcome {
 		}
 	}
 
-	out := execOutcome{res: res, novelty: nov}
-	if nov != coverage.NoNew {
-		out.cov = f.cov.Indices()
-	}
-	switch res.Status {
-	case vm.StatusTimeout:
-		f.stats.Timeouts++
-	case vm.StatusCrash:
-		f.stats.CrashExecs++
-		if f.crashVirgin.MergeSparse(f.cov) != coverage.NoNew {
-			f.stats.AFLUniqueCrashes++
-		}
-		f.recordCrash(data, res.Crash)
-	}
+	out.res = res
+	f.settle(&out, data, nov)
 	return out
 }

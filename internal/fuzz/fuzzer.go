@@ -463,6 +463,16 @@ type Fuzzer struct {
 	// depend on whether journaling happens to be on.
 	jrnl   *journal.Writer
 	events uint64
+
+	// lanes runs expensive entries' havoc/splice candidates on helper
+	// goroutines (lanes.go); nil until Fuzz first needs it. execLanes
+	// (the lanes available to the loop) and specDiscards (speculative
+	// executions thrown away at a rollback) are display-only: they
+	// depend on the host, so they never enter Stats, Report or
+	// Snapshot.
+	lanes        *lanePool
+	execLanes    int
+	specDiscards int64
 }
 
 // New constructs a fuzzer for prog.
@@ -640,21 +650,35 @@ func (f *Fuzzer) runProtected(data []byte) (res vm.Result, faultMsg string, ok b
 // the CGT engine's retrace re-execution does not consume a second
 // injector decision for the same exec index.
 func (f *Fuzzer) runProtectedOn(mach *bytecode.Machine, data []byte, inject bool) (res vm.Result, faultMsg string, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			faultMsg = fmt.Sprint(r)
-			ok = false
-		}
-	}()
-	if inject {
-		if inj := f.opts.FaultInjector; inj != nil && inj(f.stats.Execs, data) {
-			panic("fuzz: injected execution fault")
-		}
+	defer recoverFault(&faultMsg, &ok)
+	if inject && f.injected(data) {
+		return res, injectedFault, false
 	}
 	if mach != nil {
 		return mach.Run(f.opts.Entry, data), "", true
 	}
 	return vm.Run(f.prog, f.opts.Entry, data, f.tracer, f.opts.Limits), "", true
+}
+
+// injectedFault is the fault message of an execution the
+// Options.FaultInjector failed.
+const injectedFault = "fuzz: injected execution fault"
+
+// injected consults Options.FaultInjector for the next execution
+// (exec index f.stats.Execs). Callers run it under recoverFault, so a
+// panicking injector faults the execution too.
+func (f *Fuzzer) injected(data []byte) bool {
+	inj := f.opts.FaultInjector
+	return inj != nil && inj(f.stats.Execs, data)
+}
+
+// recoverFault, deferred, turns a panic inside an execution into a
+// fault report: faultMsg gets the panic value and ok becomes false.
+func recoverFault(faultMsg *string, ok *bool) {
+	if r := recover(); r != nil {
+		*faultMsg = fmt.Sprint(r)
+		*ok = false
+	}
 }
 
 // EngineName reports which execution engine the campaign runs on.
@@ -712,13 +736,41 @@ func (f *Fuzzer) recordFault(data []byte, msg string) {
 	}
 }
 
-// execute runs one input and folds novelty into the virgin map.
-func (f *Fuzzer) execute(data []byte) execOutcome {
+// execute runs one input inline on the loop's own machine and folds
+// the outcome into the campaign.
+func (f *Fuzzer) execute(data []byte) (out execOutcome) {
 	if f.cgt != nil {
 		return f.executeCGT(data)
 	}
 	f.cov.Reset()
-	res, faultMsg, ok := f.runProtected(data)
+	var faultMsg string
+	var ok bool
+	out.res, faultMsg, ok = f.runProtected(data)
+	if ok {
+		f.cov.ClassifySparse()
+	}
+	f.fold(&out, data, faultMsg, ok)
+	return out
+}
+
+// fold accounts one finished execution, strictly in exec order: the
+// counters, the virgin maps (from the classified coverage in f.cov)
+// and the crash, timeout and fault records. out holds the execution's
+// result and receives its novelty. Inline executions and the execution
+// lanes (lanes.go) both end here.
+func (f *Fuzzer) fold(out *execOutcome, data []byte, faultMsg string, ok bool) {
+	f.countExec()
+	if !ok {
+		f.quarantine(out, data, faultMsg)
+		return
+	}
+	f.stats.TotalSteps += out.res.Steps
+	f.settle(out, data, f.virgin.MergeSparse(f.cov))
+}
+
+// countExec counts one execution against the campaign and the stage
+// that issued it.
+func (f *Fuzzer) countExec() {
 	f.stats.Execs++
 	switch f.curStage {
 	case stageSeed:
@@ -730,21 +782,26 @@ func (f *Fuzzer) execute(data []byte) execOutcome {
 	case stageCmplog:
 		f.stats.CmplogExecs++
 	}
-	if !ok {
-		// The execution is quarantined: its (possibly partial) coverage
-		// is discarded so the virgin maps and queue see a no-op, and the
-		// input is kept as an internal-fault record.
-		f.recordFault(data, faultMsg)
-		f.cov.Reset()
-		return execOutcome{res: vm.Result{Status: vm.StatusOK}}
-	}
-	f.stats.TotalSteps += res.Steps
-	f.cov.ClassifySparse()
-	nov := f.virgin.MergeSparse(f.cov)
-	out := execOutcome{res: res, novelty: nov}
+}
+
+// quarantine records a faulted execution: its (possibly partial)
+// coverage is discarded so the virgin maps and queue see a no-op, and
+// the input is kept as an internal-fault record.
+func (f *Fuzzer) quarantine(out *execOutcome, data []byte, faultMsg string) {
+	f.recordFault(data, faultMsg)
+	f.cov.Reset()
+	*out = execOutcome{res: vm.Result{Status: vm.StatusOK}}
+}
+
+// settle finishes an execution whose classified coverage is in f.cov
+// and whose virgin-map verdict is nov: it captures the coverage of a
+// novel input and counts and records timeouts and crashes.
+func (f *Fuzzer) settle(out *execOutcome, data []byte, nov coverage.Novelty) {
+	out.novelty = nov
 	if nov != coverage.NoNew {
 		out.cov = f.cov.Indices()
 	}
+	res := &out.res
 	switch res.Status {
 	case vm.StatusTimeout:
 		f.stats.Timeouts++
@@ -762,7 +819,6 @@ func (f *Fuzzer) execute(data []byte) execOutcome {
 		}
 		f.recordCrash(data, res.Crash)
 	}
-	return out
 }
 
 func (f *Fuzzer) recordCrash(data []byte, c *vm.Crash) {
@@ -1107,6 +1163,9 @@ func (f *Fuzzer) SetCheckpointHook(fn func(*Fuzzer) bool) { f.hook = fn }
 // cycle (including one restored by Restore) is continued, not
 // restarted.
 func (f *Fuzzer) Fuzz(budget int64) {
+	activeLoops.Add(1)
+	defer activeLoops.Add(-1)
+	defer f.stopLanes()
 	if len(f.queue) == 0 {
 		// Never fuzz an empty queue: synthesise a minimal seed.
 		f.AddSeed([]byte("seed"))
@@ -1212,8 +1271,9 @@ func (f *Fuzzer) Fuzz(budget int64) {
 	}
 }
 
-// maybeStatus emits the periodic status line: engine, execution count,
-// measured execs/sec over the last interval, and campaign counters.
+// maybeStatus emits the periodic status line: engine, execution lanes,
+// execution count, measured execs/sec over the last interval, and
+// campaign counters.
 // Pacing is wall-clock first (StatusPeriod, default 1s) with an
 // exec-count fallback (StatusEvery), so slow or tight-limit subjects
 // report on time while fast ones cannot flood the terminal between
@@ -1240,8 +1300,8 @@ func (f *Fuzzer) maybeStatus() {
 	if dt := now.Sub(f.statusAt).Seconds(); dt > 0 {
 		rate = float64(f.stats.Execs-f.statusExecs) / dt
 	}
-	fmt.Fprintf(f.opts.Status, "[pafuzz] engine=%s execs=%d rate=%.0f/s queue=%d cov=%d crashes=%d bugs=%d\n",
-		f.EngineName(), f.stats.Execs, rate, len(f.queue), f.coveredCount(), f.stats.CrashExecs, len(f.bugs))
+	fmt.Fprintf(f.opts.Status, "[pafuzz] engine=%s lanes=%d execs=%d rate=%.0f/s queue=%d cov=%d crashes=%d bugs=%d\n",
+		f.EngineName(), max(f.execLanes, 1), f.stats.Execs, rate, len(f.queue), f.coveredCount(), f.stats.CrashExecs, len(f.bugs))
 	f.statusAt, f.statusExecs = now, f.stats.Execs
 }
 
@@ -1305,6 +1365,8 @@ func (f *Fuzzer) publishTelemetry() {
 		Replans:          replans,
 		ElidedProbes:     elided,
 		PatchSites:       patchSites,
+		ExecLanes:        int64(max(f.execLanes, 1)),
+		SpecDiscards:     f.specDiscards,
 	})
 }
 
@@ -1349,30 +1411,41 @@ func (f *Fuzzer) fuzzOne(e *Entry, budget int64) {
 		gMask, gTotal = f.guideMaskFor(e)
 	}
 	iters := f.energy(e)
-	for i := 0; i < iters && f.stats.Execs < budget; i++ {
-		// The frontier mask focuses alternate iterations only: the even
-		// ones hammer the dependency bytes of the rarest bordering
-		// frontier branch, the odd ones keep the unrestricted havoc that
-		// finds coverage the analysis did not point at. Focusing every
-		// iteration measurably starves broad exploration on subjects
-		// whose frontier branches resist flipping (flvmeta, imginfo).
-		if gTotal > 0 && i%2 == 0 {
-			f.mut.mask, f.mut.maskTotal = gMask, gTotal
-		} else {
-			f.mut.mask, f.mut.maskTotal = nil, 0
+	helpers := f.helpersFor(e)
+	for i := 0; i < iters && f.stats.Execs < budget; {
+		if helpers > 0 {
+			n := min(laneBatch, iters-i, int(budget-f.stats.Execs))
+			i += f.runBatch(e, i, n, helpers, gMask, gTotal)
+			continue
 		}
-		var cand []byte
-		if len(f.queue) > 1 && f.rng.Intn(100) < 15 {
-			other := f.queue[f.rng.Intn(len(f.queue))]
-			cand = f.mut.splice(e.Data, other.Data)
-			f.curStage = stageSplice
-		} else {
-			cand = f.mut.havoc(e.Data)
-			f.curStage = stageHavoc
-		}
+		cand := f.candidate(e, i, gMask, gTotal)
 		out := f.execute(cand)
 		f.processNew(cand, out, e.Depth+1, e.ID)
+		i++
 	}
+}
+
+// candidate draws havoc/splice iteration i's input for e and sets the
+// stage it counts under. The result aliases the mutator's buffers.
+func (f *Fuzzer) candidate(e *Entry, i int, gMask []interproc.ByteRange, gTotal int64) []byte {
+	// The frontier mask focuses alternate iterations only: the even
+	// ones hammer the dependency bytes of the rarest bordering frontier
+	// branch, the odd ones keep the unrestricted havoc that finds
+	// coverage the analysis did not point at. Focusing every iteration
+	// measurably starves broad exploration on subjects whose frontier
+	// branches resist flipping (flvmeta, imginfo).
+	if gTotal > 0 && i%2 == 0 {
+		f.mut.mask, f.mut.maskTotal = gMask, gTotal
+	} else {
+		f.mut.mask, f.mut.maskTotal = nil, 0
+	}
+	if len(f.queue) > 1 && f.rng.Intn(100) < 15 {
+		other := f.queue[f.rng.Intn(len(f.queue))]
+		f.curStage = stageSplice
+		return f.mut.splice(e.Data, other.Data)
+	}
+	f.curStage = stageHavoc
+	return f.mut.havoc(e.Data)
 }
 
 // cmplogStage is the input-to-state stage run once per new queue entry

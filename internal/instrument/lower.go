@@ -1,38 +1,36 @@
 package instrument
 
 import (
-	"sync"
-
 	"repro/internal/balllarus"
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
 )
 
-// compileKey identifies one compiled (program, feedback, config)
-// triple. Config is comparable (plain scalars plus the Facts pointer),
-// so the whole key is; Facts is stripped before keying because it never
-// affects lowering (guided and unguided campaigns share one compile).
+// compileKey identifies one compilation of a program: its (feedback,
+// config) pair. Config is comparable (plain scalars plus the Facts
+// pointer), so the whole key is; Facts is stripped before keying
+// because it never affects lowering (guided and unguided campaigns
+// share one compile).
 type compileKey struct {
-	prog *cfg.Program
-	fb   Feedback
-	cfg  Config
+	fb  Feedback
+	cfg Config
 }
 
-// compileCache memoizes bytecode compilation per process: subjects are
-// compiled once and shared across every fuzzer, campaign resume, and
-// evalharness worker that uses the same (program, feedback, config).
-var compileCache sync.Map // compileKey -> *bytecode.Program
-
 // CompiledFor lowers prog's fb instrumentation into a compiled
-// bytecode program, memoized process-wide. ok is false when fb has no
+// bytecode program. Compilations are memoized in the program's own
+// memo table (cfg.Program.Memo): every fuzzer, campaign resume and
+// evalharness worker that uses the same (program, feedback, config)
+// shares one *bytecode.Program, and a program that is no longer used
+// is collected with its compilations. ok is false when fb has no
 // bytecode lowering (the extension feedbacks keep tracer-based
 // semantics and run on the reference interpreter).
 func CompiledFor(fb Feedback, prog *cfg.Program, c Config) (cp *bytecode.Program, ok bool) {
 	c = c.withDefaults()
 	kc := c
 	kc.Facts = nil
-	key := compileKey{prog: prog, fb: fb, cfg: kc}
-	if v, hit := compileCache.Load(key); hit {
+	key := compileKey{fb: fb, cfg: kc}
+	memo := prog.Memo()
+	if v, hit := memo.Load(key); hit {
 		return v.(*bytecode.Program), true
 	}
 	spec, ok := lowerSpec(fb, prog, c)
@@ -46,7 +44,7 @@ func CompiledFor(fb Feedback, prog *cfg.Program, c Config) (cp *bytecode.Program
 	spec.Opt = !c.NoOpt
 	spec.Verify = c.Analysis == "strict"
 	cp = bytecode.Compile(prog, spec)
-	if v, raced := compileCache.LoadOrStore(key, cp); raced {
+	if v, raced := memo.LoadOrStore(key, cp); raced {
 		// A concurrent caller won the store; use its program so pointer
 		// identity holds process-wide.
 		cp = v.(*bytecode.Program)

@@ -1,9 +1,13 @@
 package instrument
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/analysis/interproc"
+	"repro/internal/cfg"
 	"repro/internal/subjects"
 )
 
@@ -71,6 +75,43 @@ func TestCompiledForExtensionsFallBack(t *testing.T) {
 	for _, fb := range []Feedback{FeedbackPath2, FeedbackSelective} {
 		if cp, ok := CompiledFor(fb, prog, Config{}); ok || cp != nil {
 			t.Fatalf("%v: expected no bytecode lowering", fb)
+		}
+	}
+}
+
+// TestCompiledForDoesNotPinPrograms: the memo lives with the program,
+// so a program nobody references any more is collected even though
+// its compilations (and its interprocedural facts, memoized the same
+// way) point back at it. A process-wide cache keyed by the program
+// would keep every program ever compiled alive.
+func TestCompiledForDoesNotPinPrograms(t *testing.T) {
+	collected := make(chan struct{}, 4)
+	for _, fb := range []Feedback{FeedbackEdge, FeedbackPath} {
+		func() {
+			prog, err := cfg.Compile(subjects.Get("cflow").Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, ok := CompiledFor(fb, prog, Config{})
+			if !ok || cp.Source() != prog {
+				t.Fatalf("%v: no compilation of the program", fb)
+			}
+			if facts := interproc.ForProgram(prog); facts.Prog != prog {
+				t.Fatal("facts of another program")
+			}
+			runtime.AddCleanup(prog, func(ch chan struct{}) { ch <- struct{}{} }, collected)
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-collected:
+			got++
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of 2 dropped programs collected: compilations pin their source program", got)
+			}
 		}
 	}
 }

@@ -71,6 +71,8 @@ func FormatFuzzerStats(s *Snapshot, info Info, rate float64, startUnix, nowUnix 
 	line("execs_havoc", s.HavocExecs)
 	line("execs_splice", s.SpliceExecs)
 	line("execs_cmplog", s.CmplogExecs)
+	line("exec_lanes", s.ExecLanes)
+	line("spec_discards", s.SpecDiscards)
 	line("exec_budget", info.Budget)
 	line("rng_seed", info.Seed)
 	line("target_mode", info.Engine)

@@ -228,6 +228,8 @@ func (r *Recorder) promMetrics() []promMetric {
 		c("pafuzz_stage_execs_total_havoc", "Executions spent in havoc mutations.", s.HavocExecs),
 		c("pafuzz_stage_execs_total_splice", "Executions spent in splice mutations.", s.SpliceExecs),
 		c("pafuzz_stage_execs_total_cmplog", "Executions spent in the cmplog stage.", s.CmplogExecs),
+		g("pafuzz_exec_lanes", "Execution lanes (fuzz loop plus helpers) available to expensive entries.", float64(s.ExecLanes)),
+		c("pafuzz_spec_discards_total", "Speculative lane executions discarded at a novelty rollback.", s.SpecDiscards),
 		g("pafuzz_queue_depth", "Current queue size.", float64(s.QueueLen)),
 		g("pafuzz_queue_favored", "Favored (set-cover) corpus size.", float64(s.Favored)),
 		g("pafuzz_queue_pending", "Queue entries never fuzzed.", float64(s.PendingTotal)),

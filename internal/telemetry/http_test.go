@@ -56,6 +56,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"pafuzz_execs_total 12345",
 		"pafuzz_queue_depth 40",
 		"pafuzz_coverage_count 25",
+		"pafuzz_exec_lanes 2",
+		"pafuzz_spec_discards_total 640",
 		"pafuzz_stage_duration_seconds_bucket",
 		`stage="havoc"`,
 		`stage="checkpoint"`,

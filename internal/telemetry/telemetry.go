@@ -79,6 +79,15 @@ type Counters struct {
 	ElidedProbes int64
 	PatchSites   int64
 
+	// Execution-lane counters, display only: they depend on the host's
+	// cores, so no campaign state derives from them. ExecLanes is a
+	// gauge, the lanes (the fuzz loop plus its helper goroutines)
+	// available to expensive queue entries; SpecDiscards counts
+	// speculative executions thrown away when a novel candidate cut a
+	// batch short.
+	ExecLanes    int64
+	SpecDiscards int64
+
 	// Fleet supervision counters (zero for single-fuzzer campaigns).
 	// The fleet supervisor fills these on the aggregate snapshot it
 	// publishes; per-worker snapshots leave them zero.
@@ -123,6 +132,8 @@ func Aggregate(cs ...Counters) Counters {
 		out.Replans += c.Replans
 		out.ElidedProbes += c.ElidedProbes
 		out.PatchSites += c.PatchSites
+		out.ExecLanes += c.ExecLanes
+		out.SpecDiscards += c.SpecDiscards
 		out.FleetWorkers += c.FleetWorkers
 		out.FleetActive += c.FleetActive
 		out.FleetRestarts += c.FleetRestarts
