@@ -15,11 +15,10 @@ import (
 
 // Analysis-guided fuzzing benchmarks: guided campaigns (interprocedural
 // input-dependency facts focusing havoc bytes, boosting frontier
-// energy, vetoing input-independent cmplog sites, and pre-consuming
-// infeasible path cells) vs the identical campaign with the guide off.
-// Both arms use edge feedback (pcguard), where every guidance channel
-// engages — under pure path feedback there is no per-branch projection,
-// so guidance reduces to the cmplog veto and CGT dead cells only.
+// energy, and vetoing input-independent cmplog sites) vs the identical
+// campaign with the guide off. Both arms use edge feedback (pcguard),
+// where every guidance channel engages — under pure path feedback there
+// is no per-branch projection, so guidance reduces to the cmplog veto.
 //
 // The coverage metric is the DEFICIT AREA: sum over the campaign of
 // (target − covered cells) per exec, where the per-seed target is the

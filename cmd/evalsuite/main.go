@@ -36,7 +36,7 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress per-campaign progress")
 		fig2Sub   = flag.String("fig2-subject", "lame", "subject for the Figure 2 series")
 		stateDir  = flag.String("state", "", "persist finished runs here; a restarted suite reloads them instead of recomputing")
-		engineF   = flag.String("engine", "bytecode", "execution engine: bytecode|cgt|interp")
+		engineF   = flag.String("engine", "auto", "execution engine: auto (bytecode, interpreter for feedbacks without a lowering), bytecode (fail without a lowering) or interp")
 		analysisF = flag.String("analysis", "", "static-analysis strictness: strict verifies IR and bytecode on every compile")
 		optF      = flag.Bool("opt", true, "enable verified bytecode optimization passes")
 	)
@@ -47,15 +47,9 @@ func main() {
 		os.Exit(1)
 	}
 
-	engine := fuzz.EngineAuto
-	switch *engineF {
-	case "bytecode", "auto", "":
-	case "cgt":
-		engine = fuzz.EngineCGT
-	case "interp", "interpreter":
-		engine = fuzz.EngineInterp
-	default:
-		fmt.Fprintf(os.Stderr, "evalsuite: unknown -engine %q (want bytecode, cgt, or interp)\n", *engineF)
+	engine, err := fuzz.ParseEngine(*engineF)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "evalsuite: %v\n", err)
 		os.Exit(1)
 	}
 

@@ -58,7 +58,7 @@ func main() {
 		ckptEvery   = flag.Int64("ckpt-every", 25000, "executions between periodic checkpoints")
 		list        = flag.Bool("list", false, "list benchmark subjects and exit")
 		showCrash   = flag.Bool("crashes", false, "print full reports for unique crashes")
-		engineName  = flag.String("engine", "bytecode", "execution engine: bytecode|cgt|interp (bytecode falls back to interp for feedbacks without a lowering; cgt adds self-patching probe elision with coverage-preserving retrace)")
+		engineName  = flag.String("engine", "auto", "execution engine: auto (bytecode, interpreter for feedbacks without a lowering), bytecode (fail without a lowering) or interp")
 		statusEvery = flag.Int64("status-every", 50000, "execution-count fallback between status lines (0 disables status)")
 		statusPer   = flag.Duration("status-period", time.Second, "wall-clock interval between status lines")
 		metricsAddr = flag.String("metrics-addr", "", "serve live metrics on this address (Prometheus at /metrics, JSON at /snapshot.json, dashboard at /)")
@@ -81,7 +81,7 @@ func main() {
 	}
 	icfg := instrument.Config{Analysis: *analysisLvl, NoOpt: !*opt}
 
-	engine, engErr := parseEngineFlag(*engineName)
+	engine, engErr := fuzz.ParseEngine(*engineName)
 	if engErr != nil {
 		fatalf("%v", engErr)
 	}
@@ -643,23 +643,6 @@ func printReport(fuzzerName string, rep *fuzz.Report, rounds int, showCrash bool
 			fmt.Printf("\n%s\n  input: %q\n", rec.Crash, rec.Input)
 		}
 	}
-}
-
-// parseEngineFlag maps the -engine flag to a fuzz.Engine. "bytecode"
-// (the default) selects the compiled engine, falling back to the
-// reference interpreter for feedbacks without a lowering; "cgt" the
-// coverage-guided tracing engine (probe elision + retrace); "interp"
-// forces the interpreter everywhere.
-func parseEngineFlag(s string) (fuzz.Engine, error) {
-	switch s {
-	case "bytecode", "auto", "":
-		return fuzz.EngineAuto, nil
-	case "cgt":
-		return fuzz.EngineCGT, nil
-	case "interp", "interpreter":
-		return fuzz.EngineInterp, nil
-	}
-	return fuzz.EngineAuto, fmt.Errorf("unknown -engine %q (want bytecode, cgt, or interp)", s)
 }
 
 func fatalf(format string, args ...any) {

@@ -43,7 +43,7 @@ func main() {
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a heap profile at exit to this file")
 		tracePath   = flag.String("trace", "", "write a runtime execution trace of the run to this file (inspect with go tool trace)")
-		engineName  = flag.String("engine", "", "also re-execute the input in a loop under this execution engine (bytecode|cgt|interp) so -cpuprofile/-memprofile capture engine hot paths")
+		engineName  = flag.String("engine", "", "also re-execute the input in a loop under this execution engine (auto|bytecode|interp) so -cpuprofile/-memprofile capture engine hot paths")
 		engineExecs = flag.Int("execs", 10000, "repeat count for the -engine profiling loop")
 		journalDir  = flag.String("journal", "", "validate and summarise a campaign's event journal (state dir or journal dir) and exit; exit status 1 on gaps or schema errors")
 		genealogy   = flag.String("genealogy", "", "render corpus genealogy, discovery attribution, and path rarity from a campaign (or fleet) state directory and exit")
@@ -201,11 +201,7 @@ func main() {
 
 // runEngineLoop re-executes the input under the selected engine so the
 // process-level CPU/mem profiles capture the engine's hot paths rather
-// than the path profiler's. For the CGT engine every map cell the
-// warm-up run touched is marked consumed before patching: replaying a
-// fixed input can never reproduce novelty past its first execution, so
-// the patched run is the steady-state fast path a campaign would
-// execute for this input.
+// than the path profiler's.
 func runEngineLoop(target *core.Target, engineName string, input []byte, execs int) {
 	eng, err := fuzz.ParseEngine(engineName)
 	if err != nil {
@@ -226,26 +222,8 @@ func runEngineLoop(target *core.Target, engineName string, input []byte, execs i
 		if !ok {
 			fatalf("path feedback has no bytecode lowering")
 		}
-		if eng == fuzz.EngineCGT {
-			patch := bytecode.NewPatchable(cp, m.Len())
-			consumed := coverage.NewBitset(m.Len())
-			full := bytecode.NewMachine(cp, m, lim)
-			m.Reset()
-			full.Run(target.Entry, input)
-			m.ClassifySparse()
-			for _, idx := range m.Indices() {
-				consumed.Set(idx)
-			}
-			elided := patch.Replan(consumed)
-			fast := bytecode.NewMachine(patch.Program(), m, lim)
-			fast.SetElide(consumed)
-			fmt.Printf("\nengine cgt: elided %d/%d static probe sites (%d consumed cells)\n",
-				elided, patch.NumSites(), consumed.Count())
-			run = func() vm.Result { return fast.Run(target.Entry, input) }
-		} else {
-			mach := bytecode.NewMachine(cp, m, lim)
-			run = func() vm.Result { return mach.Run(target.Entry, input) }
-		}
+		mach := bytecode.NewMachine(cp, m, lim)
+		run = func() vm.Result { return mach.Run(target.Entry, input) }
 	}
 	start := time.Now()
 	var last vm.Result

@@ -7,8 +7,8 @@
 //
 // The facts it produces feed three consumers: the fuzzer's opt-in
 // analysis-guided mode (mutation byte masks, power-schedule boosts,
-// cmplog skip lists, never-hit path cells for CGT elision), three
-// palint checks, and the paprof -facts inspection dump.
+// cmplog skip lists), three palint checks, and the paprof -facts
+// inspection dump.
 //
 // Soundness contract: dependency is OVER-approximated (every byte that
 // can influence a branch outcome at runtime is in the branch's static

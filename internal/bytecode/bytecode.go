@@ -236,16 +236,6 @@ const (
 	opAddJmp  // m.Add(imm); jmp a
 	opIncJmp  // reg += imm; jmp a
 	opBackJmp // back(salt a, inc imm, restart b); jmp dst
-
-	// opElide is the patched-out form of opProbeAdd: the coverage-guided
-	// tracing planner rewrites a probe to it once the probe's map cell
-	// is fully consumed (see Patchable). It does nothing and — like
-	// every probe — charges no step, so a patched program's step counts,
-	// timeouts, and injected-fault positions are identical to the
-	// pristine program's. It sits outside the [opProbeAdd, opProbePAFlush]
-	// probe range on purpose: the structural verifier only ever sees
-	// pristine code, and Patchable.Verify checks patched code instead.
-	opElide
 )
 
 // instr is one flat instruction; operand meaning is per-opcode (see the

@@ -56,14 +56,6 @@ type Machine struct {
 	// pah/pan are the PathAFL rolling segment hash and length.
 	pah uint64
 	pan int
-	// elide, when non-nil, is the consumed-cell mask of the
-	// coverage-guided tracing engine: dynamic-index probes (path record,
-	// pathafl segment flush, n-gram hash) skip the map write when their
-	// cell is fully consumed, the record-side analogue of the static
-	// opProbeAdd patching. Everything else about the probe — path
-	// register updates, segment hash state, the n-gram window — still
-	// runs, so execution state stays identical to the pristine machine.
-	elide *coverage.Bitset
 }
 
 // NewMachine builds an execution machine over p, writing coverage to m
@@ -85,22 +77,6 @@ func NewMachine(p *Program, m *coverage.Map, lim vm.Limits) *Machine {
 
 // Program returns the compiled program the machine executes.
 func (mc *Machine) Program() *Program { return mc.p }
-
-// SetElide installs (or removes, with nil) the consumed-cell mask
-// consulted by dynamic-index probes. The mask is read during Run, never
-// written; the caller may update its contents between runs.
-func (mc *Machine) SetElide(bs *coverage.Bitset) { mc.elide = bs }
-
-// probeDyn is the dynamic-index map write behind record, paFlush, and
-// the n-gram probe: with a consumed-cell mask installed, writes to
-// fully consumed cells are skipped (they can never produce novelty, so
-// skipping them is coverage-preserving).
-func (mc *Machine) probeDyn(idx uint32) {
-	if mc.elide != nil && mc.elide.Has(idx) {
-		return
-	}
-	mc.m.Add(idx)
-}
 
 func (mc *Machine) reset() {
 	mc.frames = mc.frames[:0]
@@ -190,14 +166,14 @@ func (mc *Machine) record(salt uint32, pathID uint64) {
 	} else {
 		idx = uint32(pathID) ^ salt
 	}
-	mc.probeDyn(idx)
+	mc.m.Add(idx)
 }
 
 func (mc *Machine) paFlush() {
 	if mc.pan == 0 {
 		return
 	}
-	mc.probeDyn(uint32(mc.pah) & 0xffff)
+	mc.m.Add(uint32(mc.pah) & 0xffff)
 	mc.pah, mc.pan = 0, 0
 }
 
@@ -1014,11 +990,7 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 		case opProbeVisit:
 			mc.hist[mc.histPos] = uint32(in.imm)
 			mc.histPos = (mc.histPos + 1) % len(mc.hist)
-			if mc.elide == nil {
-				ngramVisit(mc.m, mc.hist, mc.histPos)
-			} else {
-				mc.probeDyn(uint32(ngramHash(mc.hist, mc.histPos)))
-			}
+			ngramVisit(mc.m, mc.hist, mc.histPos)
 		case opProbePAEnter:
 			mc.pah = splitmix64(mc.pah ^ uint64(in.imm))
 			mc.pan++
@@ -1166,8 +1138,6 @@ func (mc *Machine) exec(fi int32, argHandle int64) (int64, *vm.Crash, int64) {
 			mc.record(uint32(in.a), mc.regs[top]+uint64(in.imm))
 			mc.regs[top] = uint64(p.backVals[in.b])
 			pc = in.dst
-		case opElide:
-			// A patched-out probe: no map write, no step charge.
 		}
 	}
 }

@@ -86,8 +86,8 @@ type Campaign struct {
 	// the power schedule.
 	ReachBoost bool
 	// AnalysisGuide enables analysis-guided fuzzing (interprocedural
-	// input-dependency facts steering mutation, scheduling, cmplog,
-	// and CGT elision; see fuzz.Options.AnalysisGuide).
+	// input-dependency facts steering mutation, scheduling and
+	// cmplog; see fuzz.Options.AnalysisGuide).
 	AnalysisGuide bool
 	// Status, when non-nil, receives periodic one-line campaign status
 	// (engine, execs/sec, queue, coverage).

@@ -7,7 +7,6 @@ package coverage
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -355,127 +354,6 @@ func (v *Virgin) SetCells(cells []VirginCell) error {
 		v.bits[c.Index] = c.Bits
 	}
 	return nil
-}
-
-// Bitset is a fixed-size bit vector over coverage map cells, sized to a
-// power-of-two map. It is the consumed-cell mask the coverage-guided
-// tracing engine hands to the bytecode machine: Has masks its index
-// exactly as Map.Add does, so the two agree on which cell any probe
-// index lands in.
-type Bitset struct {
-	words []uint64
-	mask  uint32
-}
-
-// NewBitset returns an empty bitset over size cells (a positive power
-// of two, matching the coverage map it shadows).
-func NewBitset(size int) *Bitset {
-	if size <= 0 || size&(size-1) != 0 {
-		panic("coverage: bitset size must be a positive power of two")
-	}
-	return &Bitset{words: make([]uint64, (size+63)/64), mask: uint32(size - 1)}
-}
-
-// Len returns the number of cells the bitset covers.
-func (b *Bitset) Len() int { return int(b.mask) + 1 }
-
-// Has reports whether the cell for index (mod size) is set.
-func (b *Bitset) Has(index uint32) bool {
-	i := index & b.mask
-	return b.words[i>>6]>>(i&63)&1 != 0
-}
-
-// Set marks the cell for index (mod size).
-func (b *Bitset) Set(index uint32) {
-	i := index & b.mask
-	b.words[i>>6] |= 1 << (i & 63)
-}
-
-// Clear resets every cell.
-func (b *Bitset) Clear() {
-	clear(b.words)
-}
-
-// Count returns the number of set cells.
-func (b *Bitset) Count() int {
-	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// ConsumedInto is FullyConsumedInto under a per-cell reachability
-// mask: cell i is consumed once its remaining virgin bits are all
-// outside masks[i] — every bucket that any execution can still produce
-// there has been observed. A static hit-count bound analysis supplies
-// the masks (an all-ones mask degenerates to the full-consumption
-// rule, and masks == nil delegates to FullyConsumedInto wholesale); a
-// zero mask marks a cell no probe can ever write, consumed from the
-// start. Returns the number of consumed cells.
-func (v *Virgin) ConsumedInto(bs *Bitset, masks []uint8) int {
-	if masks == nil {
-		return v.FullyConsumedInto(bs)
-	}
-	if bs.Len() != len(v.bits) || len(masks) != len(v.bits) {
-		panic("coverage: bitset size mismatch")
-	}
-	bs.Clear()
-	n := 0
-	for i, b := range v.bits {
-		if b&masks[i] == 0 {
-			bs.Set(uint32(i))
-			n++
-		}
-	}
-	return n
-}
-
-// FullyConsumedInto sets bs's bit for every fully consumed virgin cell —
-// one whose bits are all cleared (bits[i] == 0), meaning every hit-count
-// bucket has been observed there and no execution can ever produce
-// novelty at that cell again. This is the elision soundness criterion of
-// coverage-preserving coverage-guided tracing (Nagy et al.): a probe
-// whose cell is fully consumed can be removed without changing any
-// future novelty decision. bs must match the virgin map's size; it is
-// cleared first. Returns the number of fully consumed cells.
-//
-// The scan is word-at-a-time: eight all-virgin (0xff) or mixed bytes per
-// load, with the per-byte path only for words containing at least one
-// zero byte.
-func (v *Virgin) FullyConsumedInto(bs *Bitset) int {
-	if bs.Len() != len(v.bits) {
-		panic("coverage: bitset size mismatch")
-	}
-	bs.Clear()
-	n := 0
-	i := 0
-	for ; i+8 <= len(v.bits); i += 8 {
-		w := binary.LittleEndian.Uint64(v.bits[i:])
-		if w == 0 {
-			// All eight cells fully consumed.
-			bs.words[i>>6] |= 0xff << (uint(i) & 63)
-			n += 8
-			continue
-		}
-		// hasZeroByte: standard SWAR zero-byte detector.
-		if (w-0x0101010101010101)&^w&0x8080808080808080 == 0 {
-			continue
-		}
-		for j := i; j < i+8; j++ {
-			if v.bits[j] == 0 {
-				bs.Set(uint32(j))
-				n++
-			}
-		}
-	}
-	for ; i < len(v.bits); i++ {
-		if v.bits[i] == 0 {
-			bs.Set(uint32(i))
-			n++
-		}
-	}
-	return n
 }
 
 // Peek is Merge without consuming: it reports novelty but leaves the

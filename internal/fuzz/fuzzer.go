@@ -42,12 +42,6 @@ const (
 	EngineBytecode
 	// EngineInterp forces the reference CFG-walking interpreter.
 	EngineInterp
-	// EngineCGT runs the coverage-guided tracing engine: the compiled
-	// bytecode engine plus self-patching probe elision with
-	// coverage-preserving retrace (see cgt.go). Campaign results are
-	// byte-identical to EngineBytecode; like it, New fails when the
-	// feedback has no lowering.
-	EngineCGT
 )
 
 // String names the engine selection.
@@ -59,8 +53,6 @@ func (e Engine) String() string {
 		return "bytecode"
 	case EngineInterp:
 		return "interp"
-	case EngineCGT:
-		return "cgt"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
@@ -74,10 +66,8 @@ func ParseEngine(s string) (Engine, error) {
 		return EngineBytecode, nil
 	case "interp", "interpreter":
 		return EngineInterp, nil
-	case "cgt":
-		return EngineCGT, nil
 	}
-	return EngineAuto, fmt.Errorf("fuzz: unknown engine %q (want auto, bytecode, cgt, or interp)", s)
+	return EngineAuto, fmt.Errorf("fuzz: unknown engine %q (want auto, bytecode, or interp)", s)
 }
 
 // Profile selects the base-fuzzer capability set.
@@ -133,8 +123,7 @@ type Options struct {
 	// byte mutations on the dependency ranges of rare frontier
 	// branches, boost the power schedule toward input-dependent
 	// unexplored branches (the analysis generalization of ReachBoost),
-	// skip provably input-independent cmplog sites, and let the CGT
-	// engine elide probes of statically-dead path cells. See guide.go.
+	// and skip provably input-independent cmplog sites. See guide.go.
 	// Off by default; campaigns with it off are byte-identical to
 	// previous behaviour.
 	AnalysisGuide bool
@@ -166,7 +155,7 @@ type Options struct {
 	// recorder cannot change what the campaign does.
 	Telemetry *telemetry.Recorder
 	// Journal, when non-nil, receives structured campaign lifecycle
-	// events (seed calibration, novelty, crashes, cycles, CGT replans).
+	// events (seed calibration, novelty, crashes, cycles).
 	// Like Telemetry it is strictly observational: the emitted-event
 	// counter advances whether or not a writer is attached, so
 	// checkpoints — and therefore campaigns — are byte-identical with
@@ -208,7 +197,7 @@ func (o Options) Validate() error {
 	if o.StatusEvery < 0 {
 		return fmt.Errorf("fuzz: StatusEvery %d is negative", o.StatusEvery)
 	}
-	if o.Engine < EngineAuto || o.Engine > EngineCGT {
+	if o.Engine < EngineAuto || o.Engine > EngineInterp {
 		return fmt.Errorf("fuzz: unknown engine %d", int(o.Engine))
 	}
 	if o.Profile != ProfileAFLPlusPlus && o.Profile != ProfileAFL {
@@ -371,10 +360,6 @@ type Fuzzer struct {
 	// interpreter's instrumentation callback.
 	tracer vm.Tracer
 	mach   *bytecode.Machine
-	// cgt, when non-nil, selects the coverage-guided tracing engine:
-	// executions dispatch to its patched fast machine and mach becomes
-	// the retrace (full-instrumentation) machine. See cgt.go.
-	cgt    *cgtState
 	cov    *coverage.Map
 	virgin *coverage.Virgin
 	// crashVirgin implements AFL's crash-uniqueness criterion.
@@ -491,32 +476,13 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 		// the compile below is shared with unguided campaigns.
 		facts := interproc.For(prog, prog.ByName[opts.Entry])
 		opts.Instr.Facts = facts
-		guide = newGuide(prog, facts, opts.Feedback, opts.MapSize, opts.Instr)
+		guide = newGuide(prog, facts, opts.Feedback, opts.MapSize)
 	}
 	m := coverage.NewMap(opts.MapSize)
 	var mach *bytecode.Machine
-	var cgt *cgtState
 	if opts.Engine != EngineInterp {
 		if cp, ok := instrument.CompiledFor(opts.Feedback, prog, opts.Instr); ok {
 			mach = bytecode.NewMachine(cp, m, opts.Limits)
-			if opts.Engine == EngineCGT {
-				patch := bytecode.NewPatchable(cp, opts.MapSize)
-				// Static hit-count bounds tighten the consumption rule
-				// for feedbacks with compile-time cells (nil otherwise).
-				patch.SetHitBounds(cp.CellHitBounds(opts.Entry))
-				consumed := coverage.NewBitset(opts.MapSize)
-				// The fast machine skips comparison-operand collection:
-				// cmp observations are only ever consumed for inputs
-				// that get queued, and every queued input was retraced
-				// on the fully-instrumented machine, whose result
-				// (cmps included) replaces the fast one. Recording has
-				// no effect on execution, steps, or coverage.
-				fastLim := opts.Limits
-				fastLim.MaxCmpObs = 0
-				fast := bytecode.NewMachine(patch.Program(), m, fastLim)
-				fast.SetElide(consumed)
-				cgt = &cgtState{patch: patch, fast: fast, consumed: consumed}
-			}
 		} else if opts.Engine != EngineAuto {
 			return nil, fmt.Errorf("fuzz: feedback %v has no bytecode lowering (use -engine=interp or auto)", opts.Feedback)
 		}
@@ -535,7 +501,6 @@ func New(prog *cfg.Program, opts Options) (*Fuzzer, error) {
 		rng:         newRNG(opts.Seed),
 		tracer:      tr,
 		mach:        mach,
-		cgt:         cgt,
 		cov:         m,
 		virgin:      coverage.NewVirgin(opts.MapSize),
 		crashVirgin: coverage.NewVirgin(opts.MapSize),
@@ -642,20 +607,12 @@ type execOutcome struct {
 // injected by the fault harness) is recovered and reported via ok=false
 // instead of unwinding through the fuzz loop and killing the campaign.
 func (f *Fuzzer) runProtected(data []byte) (res vm.Result, faultMsg string, ok bool) {
-	return f.runProtectedOn(f.mach, data, true)
-}
-
-// runProtectedOn is runProtected on an explicit machine (nil selects
-// the reference interpreter); inject gates the fault-injection hook so
-// the CGT engine's retrace re-execution does not consume a second
-// injector decision for the same exec index.
-func (f *Fuzzer) runProtectedOn(mach *bytecode.Machine, data []byte, inject bool) (res vm.Result, faultMsg string, ok bool) {
 	defer recoverFault(&faultMsg, &ok)
-	if inject && f.injected(data) {
+	if f.injected(data) {
 		return res, injectedFault, false
 	}
-	if mach != nil {
-		return mach.Run(f.opts.Entry, data), "", true
+	if f.mach != nil {
+		return f.mach.Run(f.opts.Entry, data), "", true
 	}
 	return vm.Run(f.prog, f.opts.Entry, data, f.tracer, f.opts.Limits), "", true
 }
@@ -683,9 +640,6 @@ func recoverFault(faultMsg *string, ok *bool) {
 
 // EngineName reports which execution engine the campaign runs on.
 func (f *Fuzzer) EngineName() string {
-	if f.cgt != nil {
-		return "cgt"
-	}
 	if f.mach != nil {
 		return "bytecode"
 	}
@@ -739,9 +693,6 @@ func (f *Fuzzer) recordFault(data []byte, msg string) {
 // execute runs one input inline on the loop's own machine and folds
 // the outcome into the campaign.
 func (f *Fuzzer) execute(data []byte) (out execOutcome) {
-	if f.cgt != nil {
-		return f.executeCGT(data)
-	}
 	f.cov.Reset()
 	var faultMsg string
 	var ok bool
@@ -759,18 +710,6 @@ func (f *Fuzzer) execute(data []byte) (out execOutcome) {
 // result and receives its novelty. Inline executions and the execution
 // lanes (lanes.go) both end here.
 func (f *Fuzzer) fold(out *execOutcome, data []byte, faultMsg string, ok bool) {
-	f.countExec()
-	if !ok {
-		f.quarantine(out, data, faultMsg)
-		return
-	}
-	f.stats.TotalSteps += out.res.Steps
-	f.settle(out, data, f.virgin.MergeSparse(f.cov))
-}
-
-// countExec counts one execution against the campaign and the stage
-// that issued it.
-func (f *Fuzzer) countExec() {
 	f.stats.Execs++
 	switch f.curStage {
 	case stageSeed:
@@ -782,26 +721,22 @@ func (f *Fuzzer) countExec() {
 	case stageCmplog:
 		f.stats.CmplogExecs++
 	}
-}
-
-// quarantine records a faulted execution: its (possibly partial)
-// coverage is discarded so the virgin maps and queue see a no-op, and
-// the input is kept as an internal-fault record.
-func (f *Fuzzer) quarantine(out *execOutcome, data []byte, faultMsg string) {
-	f.recordFault(data, faultMsg)
-	f.cov.Reset()
-	*out = execOutcome{res: vm.Result{Status: vm.StatusOK}}
-}
-
-// settle finishes an execution whose classified coverage is in f.cov
-// and whose virgin-map verdict is nov: it captures the coverage of a
-// novel input and counts and records timeouts and crashes.
-func (f *Fuzzer) settle(out *execOutcome, data []byte, nov coverage.Novelty) {
+	if !ok {
+		// The execution is quarantined: its (possibly partial) coverage
+		// is discarded so the virgin maps and queue see a no-op, and the
+		// input is kept as an internal-fault record.
+		f.recordFault(data, faultMsg)
+		f.cov.Reset()
+		*out = execOutcome{res: vm.Result{Status: vm.StatusOK}}
+		return
+	}
+	res := &out.res
+	f.stats.TotalSteps += res.Steps
+	nov := f.virgin.MergeSparse(f.cov)
 	out.novelty = nov
 	if nov != coverage.NoNew {
 		out.cov = f.cov.Indices()
 	}
-	res := &out.res
 	switch res.Status {
 	case vm.StatusTimeout:
 		f.stats.Timeouts++
@@ -1197,24 +1132,10 @@ func (f *Fuzzer) Fuzz(budget int64) {
 				Crashes: len(f.crashes),
 				Bugs:    len(f.bugs),
 			})
-			// Cycle starts are the CGT engine's replan boundary: the
-			// probe-elision plan is recomputed from the virgin map
-			// here and nowhere else inside the loop, so the plan is a
-			// deterministic function of cycle-start campaign state.
-			// Guided campaigns refresh their frontier weights at the
-			// same boundary, for the same determinism property.
-			f.replanCGT()
-			if f.cgt != nil {
-				// Emitted here, not inside replanCGT: Restore replans
-				// too, and a restore must not add events an
-				// uninterrupted campaign would not have.
-				f.emit(journal.Event{
-					Kind:   journal.KindReplan,
-					Cycle:  f.stats.Cycles,
-					Elided: f.cgt.elided,
-					Sites:  f.cgt.patch.NumSites(),
-				})
-			}
+			// Guided campaigns refresh their frontier weights at cycle
+			// starts and nowhere else inside the loop, so the weights
+			// are a deterministic function of cycle-start campaign
+			// state.
 			f.updateGuide()
 			f.qi, f.qlen = 0, len(f.queue)
 			f.midCycle = true
@@ -1328,14 +1249,6 @@ func (f *Fuzzer) publishTelemetry() {
 			pending++
 		}
 	}
-	var fastExecs, retraces, replans, elided, patchSites int64
-	if f.cgt != nil {
-		fastExecs = f.cgt.fastExecs
-		retraces = f.cgt.retraces
-		replans = f.cgt.replans
-		elided = int64(f.cgt.elided)
-		patchSites = int64(f.cgt.patch.NumSites())
-	}
 	f.tel.Publish(telemetry.Counters{
 		Execs:            f.stats.Execs,
 		Timeouts:         f.stats.Timeouts,
@@ -1360,11 +1273,6 @@ func (f *Fuzzer) publishTelemetry() {
 		HavocExecs:       f.stats.HavocExecs,
 		SpliceExecs:      f.stats.SpliceExecs,
 		CmplogExecs:      f.stats.CmplogExecs,
-		FastExecs:        fastExecs,
-		Retraces:         retraces,
-		Replans:          replans,
-		ElidedProbes:     elided,
-		PatchSites:       patchSites,
 		ExecLanes:        int64(max(f.execLanes, 1)),
 		SpecDiscards:     f.specDiscards,
 	})

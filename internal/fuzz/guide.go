@@ -2,7 +2,7 @@
 // consumers of the interprocedural input-dependency facts computed by
 // package analysis/interproc. Guided mode is strictly opt-in — with the
 // option off none of this state exists and campaigns are byte-identical
-// to previous behaviour. Four guidance channels, each degrading
+// to previous behaviour. Three guidance channels, each degrading
 // gracefully when its precondition is absent:
 //
 //   - Mutation focus: havoc's positional byte mutations are restricted
@@ -17,9 +17,6 @@
 //     intervals) signature matches only input-independent static sites
 //     are skipped — value substitution there is provably fruitless.
 //     Works under every feedback.
-//   - Dead path cells: under the path feedback, map cells only
-//     infeasible path IDs can write are marked consumed from the start,
-//     so the CGT engine elides their probes earlier.
 //
 // All guide state is derived (static facts + virgin map + queue), never
 // checkpointed: restore recomputes it exactly as cycle starts do.
@@ -61,7 +58,7 @@ type guideBranch struct {
 	// weights.
 	bytes interproc.ByteSet
 	// thenVirgin/elseVirgin are frozen at guide-update boundaries (cycle
-	// starts, restore), like the CGT patch plan.
+	// starts, restore).
 	thenVirgin, elseVirgin bool
 }
 
@@ -77,9 +74,6 @@ type guideState struct {
 	facts    *interproc.Facts
 	branches []guideBranch
 	cmps     []guideCmp
-	// deadCells are the statically-dead path-feedback map cells ORed
-	// into the CGT consumed set at every replan.
-	deadCells []uint32
 	// w maps coverage-map indices to frontier weights (how many
 	// input-dependent unexplored branch sides border an entry covering
 	// that index); wMax normalizes the energy boost.
@@ -89,12 +83,9 @@ type guideState struct {
 
 // newGuide builds the guide state for a campaign. Branch projection
 // needs an exact (non-hashed) index feedback, mirroring reachWeights;
-// other feedbacks keep the cmplog-skip and dead-cell channels only.
-func newGuide(prog *cfg.Program, facts *interproc.Facts, fb instrument.Feedback, mapSize int, ic instrument.Config) *guideState {
-	g := &guideState{
-		facts:     facts,
-		deadCells: instrument.DeadPathCells(fb, facts, ic, mapSize),
-	}
+// other feedbacks keep the cmplog-skip channel only.
+func newGuide(prog *cfg.Program, facts *interproc.Facts, fb instrument.Feedback, mapSize int) *guideState {
+	g := &guideState{facts: facts}
 	for fi, ff := range facts.Fns {
 		if !facts.Reachable[fi] {
 			continue
@@ -149,8 +140,8 @@ func newGuide(prog *cfg.Program, facts *interproc.Facts, fb instrument.Feedback,
 	return g
 }
 
-// updateGuide refreshes the virgin-derived guide state. Like replanCGT
-// it runs only at deterministic boundaries — cycle starts and restore —
+// updateGuide refreshes the virgin-derived guide state. It runs only
+// at deterministic boundaries — cycle starts and restore —
 // so guided decisions are a pure function of campaign state there.
 func (f *Fuzzer) updateGuide() {
 	g := f.guide

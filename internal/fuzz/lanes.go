@@ -118,10 +118,10 @@ type lanePool struct {
 
 // helpersFor returns how many helper lanes fuzzOne may use for e, and
 // records the campaign's available lane count for telemetry. Lanes
-// apply to the plain bytecode engine only, and only to entries whose
+// apply to the bytecode engine only, and only to entries whose
 // executions are long enough to pay for the hand-off.
 func (f *Fuzzer) helpersFor(e *Entry) int {
-	if f.mach == nil || f.cgt != nil {
+	if f.mach == nil {
 		return 0
 	}
 	h := runtime.GOMAXPROCS(0)/max(int(activeLoops.Load()), 1) - 1
@@ -353,7 +353,7 @@ func (f *Fuzzer) injectFault(data []byte) (faultMsg string, ok bool) {
 }
 
 // runMachine runs one input on a lane's machine, recovering a panic
-// inside the machine as a fault exactly as runProtectedOn does.
+// inside the machine as a fault exactly as runProtected does.
 func runMachine(mach *bytecode.Machine, entry string, data []byte) (res vm.Result, faultMsg string, ok bool) {
 	defer recoverFault(&faultMsg, &ok)
 	return mach.Run(entry, data), "", true

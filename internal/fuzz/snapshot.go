@@ -289,12 +289,10 @@ func (f *Fuzzer) restore(snap *Snapshot) error {
 			return fmt.Errorf("fuzz: truncating journal to seq %d: %w", f.events, err)
 		}
 	}
-	// The CGT patch plan is not checkpointed: it is a pure function of
-	// the virgin map, so a restored campaign replans from the restored
-	// virgin state (the same boundary-determinism rule as cycle starts).
-	// Guide state (frontier weights, coverage counts) is equally
-	// derived and was rebuilt above / is refreshed here.
-	f.replanCGT()
+	// Guide state (frontier weights, coverage counts) is not
+	// checkpointed: it is derived from the restored virgin map and
+	// queue, rebuilt above and refreshed here exactly as at a cycle
+	// start.
 	f.updateGuide()
 	return nil
 }

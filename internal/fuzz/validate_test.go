@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/instrument"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -20,9 +22,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative status period", Options{StatusPeriod: -time.Second}, "StatusPeriod"},
 		{"negative status every", Options{StatusEvery: -1}, "StatusEvery"},
 		{"unknown engine", Options{Engine: Engine(99)}, "engine"},
+		{"engine past the last", Options{Engine: Engine(3)}, "engine"},
 		{"bytecode engine", Options{Engine: EngineBytecode}, ""},
 		{"interp engine", Options{Engine: EngineInterp}, ""},
-		{"cgt engine", Options{Engine: EngineCGT}, ""},
 		{"unknown profile", Options{Profile: Profile(99)}, "profile"},
 		{
 			"dict token exceeds max input len",
@@ -61,7 +63,6 @@ func TestParseEngine(t *testing.T) {
 		"bytecode":    EngineBytecode,
 		"interp":      EngineInterp,
 		"interpreter": EngineInterp,
-		"cgt":         EngineCGT,
 	}
 	for name, want := range round {
 		got, err := ParseEngine(name)
@@ -69,18 +70,54 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	for _, e := range []Engine{EngineBytecode, EngineInterp, EngineCGT} {
+	for _, e := range []Engine{EngineAuto, EngineBytecode, EngineInterp} {
 		if back, err := ParseEngine(e.String()); err != nil || back != e {
 			t.Errorf("engine %v does not round-trip through its String %q", e, e.String())
 		}
+	}
+	if _, err := ParseEngine("cgt"); err == nil {
+		t.Error("ParseEngine accepted the removed cgt engine")
 	}
 	_, err := ParseEngine("turbo")
 	if err == nil {
 		t.Fatal("ParseEngine accepted an unknown engine")
 	}
-	for _, name := range []string{"auto", "bytecode", "cgt", "interp"} {
+	for _, name := range []string{"auto", "bytecode", "interp"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("ParseEngine error %q does not list engine %q", err, name)
+		}
+	}
+}
+
+// TestEngineSelection pins how New picks an engine for the feedbacks
+// without a bytecode lowering (path2, selective): EngineBytecode
+// refuses them, naming the feedback, and EngineAuto runs them on the
+// reference interpreter.
+func TestEngineSelection(t *testing.T) {
+	prog := compileT(t, `
+func main(input) {
+    if (len(input) < 2) { return 0; }
+    if (input[0] == 'A') { return 1; }
+    return 2;
+}`)
+	for _, fb := range []instrument.Feedback{instrument.FeedbackPath2, instrument.FeedbackSelective} {
+		opts := Options{Feedback: fb, Seed: 1, MapSize: 1 << 12, Engine: EngineBytecode}
+		_, err := New(prog, opts)
+		if err == nil || !strings.Contains(err.Error(), fb.String()) {
+			t.Errorf("%v: New with EngineBytecode = %v, want an error naming the feedback", fb, err)
+		}
+		opts.Engine = EngineAuto
+		f, err := New(prog, opts)
+		if err != nil {
+			t.Fatalf("%v: New with EngineAuto: %v", fb, err)
+		}
+		if got := f.EngineName(); got != "interp" {
+			t.Errorf("%v: EngineAuto runs on %q, want interp", fb, got)
+		}
+		f.AddSeed([]byte("xx"))
+		f.Fuzz(2000)
+		if rep := f.Report(); rep.Stats.Execs < 2000 || rep.QueueLen == 0 {
+			t.Errorf("%v: EngineAuto campaign ran %d execs with queue %d", fb, rep.Stats.Execs, rep.QueueLen)
 		}
 	}
 }

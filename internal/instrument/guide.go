@@ -1,11 +1,5 @@
 package instrument
 
-import (
-	"sort"
-
-	"repro/internal/analysis/interproc"
-)
-
 // This file is the static-analysis side of guided fuzzing: helpers
 // that project interprocedural facts (package analysis/interproc) onto
 // the coverage map's index space. Nothing here changes instrumentation
@@ -23,50 +17,4 @@ func PathCellIndex(c Config, fnID int, pathID uint64, mapSize int) uint32 {
 		return uint32(splitmix64(pathID^(uint64(salt)<<32))) & mask
 	}
 	return (uint32(pathID) ^ salt) & mask
-}
-
-// DeadPathCells returns the sorted coverage-map cells that, under the
-// path feedback, only statically-infeasible path IDs can ever write:
-// every feasible ID of every function maps elsewhere, so no execution
-// touches these cells and their probes can be elided from the start
-// (the analysis-guided tightening of the CGT consumption rule).
-//
-// The computation is collision-safe — a cell shared between an
-// infeasible ID and any feasible ID (of any function) stays live — and
-// requires facts.AllEnumerable, which guarantees every function's path
-// space is numberable and small enough (<= interproc.CellCap) to
-// enumerate exhaustively. It returns nil for other feedbacks, nil
-// facts, or non-enumerable programs; infeasibility is under-approximated
-// (see the interproc package doc), so an empty result is always sound.
-func DeadPathCells(fb Feedback, facts *interproc.Facts, c Config, mapSize int) []uint32 {
-	if fb != FeedbackPath || facts == nil || !facts.AllEnumerable {
-		return nil
-	}
-	live := make([]bool, mapSize)
-	dead := make(map[uint32]bool)
-	for fi := range facts.Fns {
-		ff := facts.Fns[fi]
-		inf := make(map[uint64]bool, len(ff.Infeasible))
-		if ff.Walked {
-			for _, id := range ff.Infeasible {
-				inf[id] = true
-			}
-		}
-		for id := uint64(0); id < ff.NumPaths; id++ {
-			cell := PathCellIndex(c, fi, id, mapSize)
-			if inf[id] {
-				dead[cell] = true
-			} else {
-				live[cell] = true
-			}
-		}
-	}
-	var out []uint32
-	for cell := range dead {
-		if !live[cell] {
-			out = append(out, cell)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

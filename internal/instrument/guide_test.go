@@ -1,7 +1,6 @@
 package instrument_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/analysis/interproc"
@@ -11,7 +10,7 @@ import (
 )
 
 // contradictory has a provably infeasible path suffix (x > 100 then
-// x < 50 both-then), so the facts mark path IDs dead for the guide.
+// x < 50 both-then), so the facts mark some of its path IDs dead.
 const contradictory = `
 func main(input) {
     if (len(input) < 1) { return 0; }
@@ -23,70 +22,10 @@ func main(input) {
 }
 `
 
-// TestDeadPathCellsNeverWritten is the property that makes pre-marking
-// dead cells consumed sound: across many executions, no coverage cell
-// DeadPathCells returns is ever written by the path tracer — in either
-// index-mixing mode.
-func TestDeadPathCellsNeverWritten(t *testing.T) {
-	const mapSize = 1 << 12
-	p := compile(t, contradictory)
-	facts := interproc.ForProgram(p)
-	for _, mix := range []instrument.MixMode{instrument.MixXOR, instrument.MixHash} {
-		c := instrument.Config{Mix: mix}
-		dead := instrument.DeadPathCells(instrument.FeedbackPath, facts, c, mapSize)
-		if len(dead) == 0 {
-			t.Fatalf("mix=%v: no dead cells despite an infeasible path", mix)
-		}
-		deadSet := make(map[uint32]bool, len(dead))
-		for _, d := range dead {
-			deadSet[d] = true
-		}
-
-		m := coverage.NewMap(mapSize)
-		tr, err := instrument.New(instrument.FeedbackPath, p, m, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(31))
-		for i := 0; i < 512; i++ {
-			in := make([]byte, rng.Intn(6))
-			rng.Read(in)
-			m.Reset()
-			vm.Run(p, "main", in, tr, vm.DefaultLimits())
-			m.ClassifySparse()
-			for _, idx := range m.Indices() {
-				if deadSet[idx] {
-					t.Fatalf("mix=%v: dead cell %d written by input %v", mix, idx, in)
-				}
-			}
-		}
-	}
-}
-
-// TestDeadPathCellsGating: the elision list must be empty for non-path
-// feedback, for absent facts, and for programs where a hashed fallback
-// makes cell prediction unreliable.
-func TestDeadPathCellsGating(t *testing.T) {
-	const mapSize = 1 << 12
-	p := compile(t, contradictory)
-	facts := interproc.ForProgram(p)
-	c := instrument.Config{}
-	if got := instrument.DeadPathCells(instrument.FeedbackEdge, facts, c, mapSize); got != nil {
-		t.Errorf("edge feedback produced dead cells: %v", got)
-	}
-	if got := instrument.DeadPathCells(instrument.FeedbackPath, nil, c, mapSize); got != nil {
-		t.Errorf("nil facts produced dead cells: %v", got)
-	}
-	if !facts.AllEnumerable {
-		t.Fatal("test program should be fully enumerable")
-	}
-}
-
 // TestPathCellIndexMatchesTracer: the cell predictor must agree with
-// the live tracer's mixing for every function and path ID, else dead
-// cells could collide with live ones. Indirectly covered by the
-// never-written test above; here the predictor is checked against the
-// recorded cells of concrete executions.
+// the live tracer's mixing for every function and path ID, else covmap
+// would resolve cells to the wrong paths. The predictor is checked
+// against the recorded cells of concrete executions.
 func TestPathCellIndexMatchesTracer(t *testing.T) {
 	const mapSize = 1 << 12
 	p := compile(t, contradictory)

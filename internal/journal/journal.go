@@ -47,8 +47,6 @@ const (
 	KindFault = "fault"
 	// KindCycle marks a queue-cycle start.
 	KindCycle = "cycle"
-	// KindReplan records a CGT probe-elision replan at a cycle start.
-	KindReplan = "replan"
 	// KindFinish closes a completed campaign (budget reached).
 	KindFinish = "finish"
 	// KindSync records one fleet corpus-sync epoch for one worker.
@@ -67,7 +65,7 @@ const (
 var KnownKinds = map[string]bool{
 	KindStart: true, KindCalibrate: true, KindNovelty: true,
 	KindCrash: true, KindTimeout: true, KindFault: true,
-	KindCycle: true, KindReplan: true, KindFinish: true,
+	KindCycle: true, KindFinish: true,
 	KindSync: true, KindRecycle: true, KindRetire: true,
 	KindWedge: true, KindQuarantine: true,
 }
@@ -129,10 +127,6 @@ type Event struct {
 	Epoch     int `json:"epoch,omitempty"`
 	Published int `json:"published,omitempty"`
 	Imported  int `json:"imported,omitempty"`
-	// Elided / Sites describe a CGT replan (elided probe sites out of
-	// the patchable total).
-	Elided int `json:"elided,omitempty"`
-	Sites  int `json:"sites,omitempty"`
 	// Feedback / Engine / Seed identify the campaign on start events.
 	Feedback string `json:"feedback,omitempty"`
 	Engine   string `json:"engine,omitempty"`

@@ -27,14 +27,11 @@ const (
 	StageTrim
 	// StageCheckpoint covers writing one campaign checkpoint.
 	StageCheckpoint
-	// StageRetrace covers the CGT engine's full-instrumentation
-	// re-executions of suspected-novel or crashing inputs.
-	StageRetrace
 	numStages
 )
 
 var stageNames = [numStages]string{
-	"calibrate", "havoc", "splice", "cmplog", "trim", "checkpoint", "retrace",
+	"calibrate", "havoc", "splice", "cmplog", "trim", "checkpoint",
 }
 
 // String names the stage.

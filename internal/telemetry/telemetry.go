@@ -70,15 +70,6 @@ type Counters struct {
 	SpliceExecs int64
 	CmplogExecs int64
 
-	// Coverage-guided tracing engine counters (zero for the other
-	// engines). FastExecs/Retraces/Replans are cumulative; ElidedProbes
-	// and PatchSites are gauges describing the current patch plan.
-	FastExecs    int64
-	Retraces     int64
-	Replans      int64
-	ElidedProbes int64
-	PatchSites   int64
-
 	// Execution-lane counters, display only: they depend on the host's
 	// cores, so no campaign state derives from them. ExecLanes is a
 	// gauge, the lanes (the fuzz loop plus its helper goroutines)
@@ -127,11 +118,6 @@ func Aggregate(cs ...Counters) Counters {
 		out.HavocExecs += c.HavocExecs
 		out.SpliceExecs += c.SpliceExecs
 		out.CmplogExecs += c.CmplogExecs
-		out.FastExecs += c.FastExecs
-		out.Retraces += c.Retraces
-		out.Replans += c.Replans
-		out.ElidedProbes += c.ElidedProbes
-		out.PatchSites += c.PatchSites
 		out.ExecLanes += c.ExecLanes
 		out.SpecDiscards += c.SpecDiscards
 		out.FleetWorkers += c.FleetWorkers
