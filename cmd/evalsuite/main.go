@@ -38,7 +38,6 @@ func main() {
 		stateDir  = flag.String("state", "", "persist finished runs here; a restarted suite reloads them instead of recomputing")
 		engineF   = flag.String("engine", "auto", "execution engine: auto (bytecode, interpreter for feedbacks without a lowering), bytecode (fail without a lowering) or interp")
 		analysisF = flag.String("analysis", "", "static-analysis strictness: strict verifies IR and bytecode on every compile")
-		optF      = flag.Bool("opt", true, "enable verified bytecode optimization passes")
 	)
 	flag.Parse()
 
@@ -60,7 +59,7 @@ func main() {
 		BaseSeed:    *seed,
 		StateDir:    *stateDir,
 		Engine:      engine,
-		Instr:       instrument.Config{Analysis: *analysisF, NoOpt: !*optF},
+		Instr:       instrument.Config{Analysis: *analysisF},
 	}
 	if *subjectsF != "" {
 		cfg.Subjects = strings.Split(*subjectsF, ",")

@@ -68,7 +68,6 @@ func main() {
 		maxRestarts = flag.Int("max-restarts", 3, "consecutive worker failures before the fleet retires the worker")
 		chaosEvery  = flag.Int64("chaos-every", 0, "fault injection: panic each worker's first attempt once past this exec count (0 disables; for supervision smoke tests)")
 		analysisLvl = flag.String("analysis", "", "static-analysis strictness: strict runs the IR and bytecode verifiers on every compile (default off)")
-		opt         = flag.Bool("opt", true, "enable verified bytecode optimization passes (constant folding, dead code)")
 		reach       = flag.Bool("reach", false, "boost power-schedule energy by static crash-site reachability")
 		guide       = flag.Bool("analysis-guide", false, "analysis-guided fuzzing: focus mutations on input-dependency byte ranges, boost unexplored input-dependent branches, skip input-independent cmplog sites")
 		journalOn   = flag.Bool("journal", true, "write the structured event journal under <state>/journal (durable campaigns; inspect with paprof -journal)")
@@ -79,7 +78,7 @@ func main() {
 	if *analysisLvl != "" && *analysisLvl != "strict" {
 		fatalf("unknown -analysis level %q (want strict or empty)", *analysisLvl)
 	}
-	icfg := instrument.Config{Analysis: *analysisLvl, NoOpt: !*opt}
+	icfg := instrument.Config{Analysis: *analysisLvl}
 
 	engine, engErr := fuzz.ParseEngine(*engineName)
 	if engErr != nil {
@@ -360,7 +359,6 @@ func fillEngineInfo(rec *telemetry.Recorder, f *fuzz.Fuzzer) {
 	info := rec.Info()
 	info.Engine = f.EngineName()
 	info.Instrs = f.BytecodeInstrs()
-	info.Nops = f.BytecodeNops()
 	rec.SetInfo(info)
 }
 

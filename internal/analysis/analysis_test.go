@@ -108,35 +108,6 @@ func TestPostDominators(t *testing.T) {
 	_ = PostDominators(prog.Func("main"))
 }
 
-func TestLivenessParamsAndLoop(t *testing.T) {
-	f := loopFunc(t)
-	liveIn, liveOut := Liveness(f)
-	// The loop counter and accumulator must be live around the back
-	// edge: some block has them live-out.
-	anyLive := 0
-	for b := range f.Blocks {
-		for s := 0; s < f.FrameSize; s++ {
-			if liveOut[b].Has(s) || liveIn[b].Has(s) {
-				anyLive++
-			}
-		}
-	}
-	if anyLive == 0 {
-		t.Fatal("loop function has no live slots at any boundary")
-	}
-	// Nothing is live out of a return block.
-	for b := range f.Blocks {
-		if f.Blocks[b].Term.Kind != cfg.TermRet {
-			continue
-		}
-		for s := 0; s < f.FrameSize; s++ {
-			if liveOut[b].Has(s) {
-				t.Fatalf("slot s%d live out of return block b%d", s, b)
-			}
-		}
-	}
-}
-
 func TestReachingDefsParams(t *testing.T) {
 	f := diamond(t)
 	sites, in, _ := ReachingDefs(f)

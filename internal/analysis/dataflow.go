@@ -120,9 +120,9 @@ func InstrUses(in *cfg.Instr, buf []int) []int {
 }
 
 // InstrDef returns the slot written by in, or -1 (stores write the
-// heap, not a slot; nops write nothing).
+// heap, not a slot).
 func InstrDef(in *cfg.Instr) int {
-	if in.Op == cfg.OpStore || in.Op == cfg.OpNop {
+	if in.Op == cfg.OpStore {
 		return -1
 	}
 	return in.Dst
@@ -139,44 +139,6 @@ func TermUses(t *cfg.Term, buf []int) []int {
 		}
 	}
 	return buf
-}
-
-// Liveness computes per-block live-in/live-out slot sets (a backward
-// may problem over FrameSize bits). A slot is live at a point when some
-// path from that point reads it before writing it.
-func Liveness(f *cfg.Func) (liveIn, liveOut []BitSet) {
-	n := len(f.Blocks)
-	p := GenKill{
-		Bits: f.FrameSize,
-		May:  true,
-		Gen:  make([]BitSet, n),
-		Kill: make([]BitSet, n),
-	}
-	var buf []int
-	for b := 0; b < n; b++ {
-		gen := NewBitSet(f.FrameSize)
-		kill := NewBitSet(f.FrameSize)
-		blk := &f.Blocks[b]
-		for i := range blk.Instrs {
-			buf = InstrUses(&blk.Instrs[i], buf[:0])
-			for _, s := range buf {
-				if !kill.Has(s) {
-					gen.Set(s) // upward-exposed use
-				}
-			}
-			if d := InstrDef(&blk.Instrs[i]); d >= 0 {
-				kill.Set(d)
-			}
-		}
-		buf = TermUses(&blk.Term, buf[:0])
-		for _, s := range buf {
-			if !kill.Has(s) {
-				gen.Set(s)
-			}
-		}
-		p.Gen[b], p.Kill[b] = gen, kill
-	}
-	return p.Solve(f)
 }
 
 // DefSite identifies one definition for ReachingDefs: instruction Index

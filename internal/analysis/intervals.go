@@ -457,81 +457,6 @@ func (ii *Intervals) stepInstr(env *Env, in *cfg.Instr) (fault string) {
 	return ""
 }
 
-// FoldedConst describes one instruction whose result the interval
-// analysis proves to be a single value and whose evaluation is
-// effect-free, so a compiler may replace it with a constant load of
-// Val without changing any observable behavior.
-type FoldedConst struct {
-	Instr int
-	Val   int64
-}
-
-// FoldableConsts returns the foldable instructions of block b in
-// instruction order (nil when b is interval-unreachable). Effect-free
-// excludes comparisons (both engines record every comparison
-// observation), memory accesses, allocations, calls, and any operation
-// that could fault; a division or modulo folds only when both operands
-// are compile-time constants and the operation provably cannot trap.
-func (ii *Intervals) FoldableConsts(b int) []FoldedConst {
-	if !ii.Reached[b] {
-		return nil
-	}
-	f := ii.Fn
-	env := newEnv(f.FrameSize)
-	env.copyFrom(&ii.In[b])
-	var out []FoldedConst
-	blk := &f.Blocks[b]
-	for i := range blk.Instrs {
-		in := &blk.Instrs[i]
-		pure := foldablePure(&env, in)
-		if ii.stepInstr(&env, in) != "" {
-			break // guaranteed fault: nothing after it executes
-		}
-		if !pure {
-			continue
-		}
-		d := InstrDef(in)
-		if d < 0 {
-			continue
-		}
-		if v := env.Val[d]; v.Singleton() {
-			out = append(out, FoldedConst{Instr: i, Val: v.Lo})
-		}
-	}
-	return out
-}
-
-// foldablePure reports whether in is effect-free: no comparison
-// observation, no memory or heap effect, no possible fault. OpConst is
-// excluded (folding it is a no-op).
-func foldablePure(env *Env, in *cfg.Instr) bool {
-	switch in.Op {
-	case cfg.OpMove:
-		return true
-	case cfg.OpUn:
-		switch in.Sub {
-		case lang.MINUS, lang.NOT, lang.TILDE:
-			return true
-		}
-	case cfg.OpBin:
-		switch in.Sub {
-		case lang.PLUS, lang.MINUS, lang.STAR,
-			lang.AMP, lang.PIPE, lang.CARET, lang.SHL, lang.SHR:
-			return true
-		case lang.SLASH, lang.PCT:
-			a, b := env.Val[in.A], env.Val[in.B]
-			return a.Singleton() && b.Singleton() && b.Lo != 0 &&
-				!(a.Lo == math.MinInt64 && b.Lo == -1)
-		}
-	case cfg.OpBuiltin:
-		switch in.Callee {
-		case cfg.BAbs, cfg.BMin, cfg.BMax:
-			return true
-		}
-	}
-	return false
-}
-
 // guaranteedOOB reports whether indexing slot arr with slot idx is out
 // of bounds on every execution reaching this point: the index is
 // provably negative, or provably at/above every possible length of the

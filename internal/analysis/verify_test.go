@@ -39,7 +39,6 @@ func TestVerifyLanggenCorpus(t *testing.T) {
 		for _, f := range prog.Funcs {
 			Dominators(f)
 			PostDominators(f)
-			Liveness(f)
 			ReachingDefs(f)
 			IntervalsOf(f)
 		}
@@ -74,7 +73,6 @@ func TestVerifyAdversarialShapes(t *testing.T) {
 		if idom[1] != 0 || !Dominates(idom, 1, 1) {
 			t.Fatalf("self-loop dominators wrong: %v", idom)
 		}
-		Liveness(f)
 		IntervalsOf(f)
 	})
 
@@ -90,7 +88,6 @@ func TestVerifyAdversarialShapes(t *testing.T) {
 		if f == nil {
 			t.Fatal("nop not compiled")
 		}
-		Liveness(f)
 		if ii := IntervalsOf(f); !ii.Reached[0] {
 			t.Fatal("entry of empty function not reached")
 		}

@@ -95,16 +95,9 @@ type Spec struct {
 	NGram int
 	// Segment bounds hashed path-segment length for ProbePathAFL.
 	Segment int
-	// Opt enables the IR optimization passes (constant folding,
-	// dead-store elimination) and lowering-time branch folding and
-	// dead-block elimination. All passes preserve observational
-	// equivalence with the reference interpreter, including exact step
-	// counts and coverage bytes.
-	Opt bool
-	// Verify runs the IR verifier after every optimization pass and the
-	// bytecode structural verifier after lowering and fusion; a
-	// violation fails compilation with a diagnostic naming the
-	// function, block, and invariant.
+	// Verify runs the bytecode structural verifier after lowering and
+	// again after fusion; a violation fails compilation with a
+	// diagnostic naming the function, block, and invariant.
 	Verify bool
 	// Fns has one entry per program function.
 	Fns []FnSpec
@@ -289,10 +282,10 @@ func (p *Program) Source() *cfg.Program { return p.src }
 // NumInstrs returns the flat instruction count (probes included).
 func (p *Program) NumInstrs() int { return len(p.code) }
 
-// NumNops returns how many instruction slots hold counted nops — dead
-// stores reclaimed by the verified optimization passes (step parity
-// forbids deleting the slots outright). Telemetry reports it next to
-// NumInstrs so optimizer effectiveness is visible per subject.
+// NumNops returns how many instruction slots hold counted nops. The
+// only source is the lowering of an unknown cfg opcode or builtin,
+// which the interpreter charges one step and otherwise ignores, so on
+// front-end-built programs it is 0.
 func (p *Program) NumNops() int {
 	n := 0
 	for i := range p.code {

@@ -313,3 +313,35 @@ func TestDifferentialMissingEntry(t *testing.T) {
 		t.Fatalf("missing-entry mismatch: interp %+v bytecode %+v", r1.Crash, r2.Crash)
 	}
 }
+
+// TestStrictVerifyAllSubjects is the acceptance check for the strict
+// analysis mode: compiling every subject under every feedback with the
+// bytecode structural verifier gating the lowering and the fusion
+// reports zero violations — and the strict-mode build still matches
+// the reference interpreter on live inputs.
+func TestStrictVerifyAllSubjects(t *testing.T) {
+	strict := instrument.Config{Analysis: "strict"}
+	for _, sub := range subjects.All() {
+		prog, err := sub.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fb := range allFeedbacks {
+			// CompiledFor panics (via Compile) on any verifier violation.
+			if _, ok := instrument.CompiledFor(fb, prog, strict); !ok {
+				t.Fatalf("%s/%s: no bytecode lowering", sub.Name, fb)
+			}
+		}
+	}
+	// Differential spot check under strict mode.
+	sub := subjects.Get("flvmeta")
+	prog := sub.MustProgram()
+	rng := rand.New(rand.NewSource(31))
+	inputs := subjectInputs(sub, rng, 15)
+	for _, fb := range allFeedbacks {
+		d := newDiffPair(t, prog, fb, strict, 1<<16, vm.DefaultLimits())
+		for _, in := range inputs {
+			d.check(t, "strict/"+fb.String(), in)
+		}
+	}
+}

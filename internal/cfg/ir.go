@@ -31,7 +31,6 @@ const (
 	OpStore             // A[B] = C
 	OpCall              // Dst = call Funcs[Callee](Args...)
 	OpBuiltin           // Dst = builtin Callee applied to Args...
-	OpNop               // no operation; still charged one step
 )
 
 // Builtin identifiers for OpBuiltin's Callee field.
@@ -288,8 +287,6 @@ func (in *Instr) String() string {
 		return fmt.Sprintf("s%d = call #%d %v", in.Dst, in.Callee, in.Args)
 	case OpBuiltin:
 		return fmt.Sprintf("s%d = builtin#%d %v", in.Dst, in.Callee, in.Args)
-	case OpNop:
-		return "nop"
 	}
 	return fmt.Sprintf("op%d", in.Op)
 }

@@ -80,7 +80,7 @@ type Campaign struct {
 	// the compiled bytecode engine with interpreter fallback).
 	Engine fuzz.Engine
 	// Instr tunes instrumentation construction (analysis strictness,
-	// optimizer toggle, mixing modes).
+	// probe placement, mixing modes).
 	Instr instrument.Config
 	// ReachBoost enables the static crash-site reachability term in
 	// the power schedule.

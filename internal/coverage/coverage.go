@@ -182,10 +182,22 @@ type Virgin struct {
 // NewVirgin returns a fresh virgin map of the given size.
 func NewVirgin(size int) *Virgin {
 	v := &Virgin{bits: make([]uint8, size)}
-	for i := range v.bits {
-		v.bits[i] = 0xff
-	}
+	fillVirgin(v.bits)
 	return v
+}
+
+// fillVirgin sets every entry of b to 0xff by doubling a filled prefix
+// with copy (memmove). A byte-store loop ran the same 64K fill 1.3–1.4×
+// slower or faster depending only on where the linker placed it, which
+// showed up in restore time.
+func fillVirgin(b []uint8) {
+	if len(b) == 0 {
+		return
+	}
+	b[0] = 0xff
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // Len returns the number of entries.
@@ -340,9 +352,7 @@ func (v *Virgin) Cells() []VirginCell {
 // of Cells. Out-of-range indices are rejected (a corrupt or
 // wrong-map-size checkpoint).
 func (v *Virgin) SetCells(cells []VirginCell) error {
-	for i := range v.bits {
-		v.bits[i] = 0xff
-	}
+	fillVirgin(v.bits)
 	v.consumed = 0
 	for _, c := range cells {
 		if int(c.Index) >= len(v.bits) {

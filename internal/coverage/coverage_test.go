@@ -308,6 +308,29 @@ func TestVirginCount(t *testing.T) {
 	}
 }
 
+// TestVirginFillAllSizes checks that a fresh map and a map reset by
+// SetCells are virgin in every entry, for sizes that are and are not
+// powers of two.
+func TestVirginFillAllSizes(t *testing.T) {
+	for _, size := range []int{1, 3, 16, 100, 1 << 16} {
+		v := coverage.NewVirgin(size)
+		if c := v.Cells(); len(c) != 0 {
+			t.Fatalf("size %d: fresh map has consumed cells %v", size, c)
+		}
+		trace := make([]uint8, size)
+		for i := range trace {
+			trace[i] = 1
+		}
+		v.Merge(trace)
+		if err := v.SetCells(nil); err != nil {
+			t.Fatal(err)
+		}
+		if c := v.Cells(); len(c) != 0 {
+			t.Fatalf("size %d: %d cells consumed after SetCells(nil)", size, len(c))
+		}
+	}
+}
+
 // TestVirginCountMatchesCells is the property form: after arbitrary
 // merges the incremental counter equals len(Cells()).
 func TestVirginCountMatchesCells(t *testing.T) {

@@ -75,12 +75,13 @@ func TestEveryCampaignCellResolves(t *testing.T) {
 	}
 }
 
-// TestDiscoveredPathsDecode checks, for both probe-placement variants,
-// that every exact path meaning behind a cell a path-feedback campaign
-// actually consumed decodes to a block sequence without error.
+// TestDiscoveredPathsDecode checks, for both probe-placement variants
+// (spanning-tree chords and naive), that every exact path meaning
+// behind a cell a path-feedback campaign actually consumed decodes to
+// a block sequence without error.
 func TestDiscoveredPathsDecode(t *testing.T) {
-	for _, noopt := range []bool{false, true} {
-		c := instrument.Config{NoOpt: noopt}
+	for _, naive := range []bool{false, true} {
+		c := instrument.Config{NaivePlacement: naive}
 		for _, name := range subjects.Names() {
 			prog, cells := runCampaign(t, name, instrument.FeedbackPath, c, 200)
 			ix, err := covmap.New(prog, instrument.FeedbackPath, c, coverage.DefaultMapSize)
@@ -95,16 +96,16 @@ func TestDiscoveredPathsDecode(t *testing.T) {
 					}
 					steps, derr := ix.Decode(m)
 					if derr != nil {
-						t.Fatalf("%s noopt=%v: cell %d path %d: %v", name, noopt, o.Cell, m.PathID, derr)
+						t.Fatalf("%s naive=%v: cell %d path %d: %v", name, naive, o.Cell, m.PathID, derr)
 					}
 					if len(steps) == 0 {
-						t.Fatalf("%s noopt=%v: cell %d path %d decoded empty", name, noopt, o.Cell, m.PathID)
+						t.Fatalf("%s naive=%v: cell %d path %d decoded empty", name, naive, o.Cell, m.PathID)
 					}
 					decoded++
 				}
 			}
 			if decoded == 0 {
-				t.Errorf("%s noopt=%v: no exact path meanings decoded", name, noopt)
+				t.Errorf("%s naive=%v: no exact path meanings decoded", name, naive)
 			}
 		}
 	}

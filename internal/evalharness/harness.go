@@ -59,7 +59,7 @@ type Config struct {
 	// (fuzz.EngineAuto by default: bytecode with interpreter fallback).
 	Engine fuzz.Engine
 	// Instr tunes instrumentation construction for every campaign
-	// (analysis strictness, optimizer toggle).
+	// (analysis strictness, probe placement, mixing mode).
 	Instr instrument.Config
 	// FleetWorkers, when > 1, runs every single-phase configuration as a
 	// supervised fleet of that many workers (Budget is then per worker);

@@ -655,15 +655,6 @@ func (f *Fuzzer) BytecodeInstrs() int {
 	return 0
 }
 
-// BytecodeNops reports how many compiled instruction slots are counted
-// nops (dead stores reclaimed by the optimizer); 0 for the interpreter.
-func (f *Fuzzer) BytecodeNops() int {
-	if f.mach != nil {
-		return f.mach.Program().NumNops()
-	}
-	return 0
-}
-
 // recordFault quarantines one interpreter panic as an internal-fault
 // finding, deduplicated by message.
 func (f *Fuzzer) recordFault(data []byte, msg string) {

@@ -100,23 +100,16 @@ type Config struct {
 	// 256).
 	SelectiveMaxPaths int
 	// Analysis selects the static-analysis strictness. "strict" makes
-	// New verify the IR up front and makes the bytecode compiler run
-	// the IR verifier after every optimization pass plus the structural
-	// verifier after lowering and fusion; "" (the default) skips
-	// verification. Tests run strict; production fuzzing keeps it off
-	// for speed.
+	// New and CompiledFor verify the IR up front and makes the bytecode
+	// compiler run its structural verifier after lowering and after
+	// fusion; "" (the default) skips verification. Tests run strict;
+	// production fuzzing keeps it off for speed.
 	Analysis string
-	// NoOpt disables the bytecode optimization passes (constant
-	// folding, dead-store elimination, branch folding, dead-block
-	// elimination). Optimization is on by default — the differential
-	// tests pin its observational equivalence — and the flag exists for
-	// the ablation bench and debugging.
-	NoOpt bool
-	// Facts carries the interprocedural analysis result consumed by
-	// guided-mode clients (analysis-guided mutation, dead path-cell
-	// elision; see guide.go). It never influences tracer construction
-	// or bytecode lowering — the compile cache strips it from its key —
-	// so a nil and non-nil Facts produce byte-identical instrumentation.
+	// Facts carries the interprocedural analysis result of an
+	// analysis-guided campaign (fuzz.Options.AnalysisGuide sets it). It
+	// never influences tracer construction or bytecode lowering — the
+	// compile cache strips it from its key — so a nil and non-nil Facts
+	// produce byte-identical instrumentation.
 	Facts *interproc.Facts
 }
 

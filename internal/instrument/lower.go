@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"repro/internal/analysis"
 	"repro/internal/balllarus"
 	"repro/internal/bytecode"
 	"repro/internal/cfg"
@@ -37,12 +38,15 @@ func CompiledFor(fb Feedback, prog *cfg.Program, c Config) (cp *bytecode.Program
 	if !ok {
 		return nil, false
 	}
-	// Optimization is on by default; the differential tests pin its
-	// observational equivalence against the reference interpreter.
-	// Strict analysis adds the IR and bytecode verifiers to every
-	// compile.
-	spec.Opt = !c.NoOpt
+	// Strict analysis verifies the IR before lowering and adds the
+	// bytecode structural verifier to every compile; like Compile, a
+	// violation panics.
 	spec.Verify = c.Analysis == "strict"
+	if spec.Verify {
+		if err := analysis.Verify(prog); err != nil {
+			panic(err)
+		}
+	}
 	cp = bytecode.Compile(prog, spec)
 	if v, raced := memo.LoadOrStore(key, cp); raced {
 		// A concurrent caller won the store; use its program so pointer

@@ -32,7 +32,7 @@ func goldenSnapshot() *Snapshot {
 func goldenInfo() Info {
 	return Info{
 		Banner: "flvmeta/path", Engine: "bytecode", Feedback: "path",
-		Instrs: 238, Nops: 6, Seed: 1, Budget: 200000, GoVersion: "go1.24.0", PID: 4242,
+		Instrs: 238, Seed: 1, Budget: 200000, GoVersion: "go1.24.0", PID: 4242,
 	}
 }
 

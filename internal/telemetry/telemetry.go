@@ -166,11 +166,8 @@ type Info struct {
 	Engine string
 	// Feedback names the coverage feedback mechanism.
 	Feedback string
-	// Instrs is the compiled bytecode instruction count (0 for interp);
-	// Nops is how many of those slots the verified optimization passes
-	// reduced to counted nops.
+	// Instrs is the compiled bytecode instruction count (0 for interp).
 	Instrs int
-	Nops   int
 	Seed   int64
 	Budget int64
 	// GoVersion and PID are recorded for reproducibility.
